@@ -116,7 +116,10 @@ def _state_limit(args) -> int:
         return args.limit
     env = os.environ.get("BSOL_MAX_STATES")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"BSOL_MAX_STATES must be an integer, got {env!r}") from None
     return DEFAULT_STATE_LIMIT
 
 
@@ -158,6 +161,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_graph(args) -> int:
     L = args.L if args.variant == "austrian" else None
+    get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
     _check_space(args.variant, args.n, L, _state_limit(args))
     summary = analyze_state_space(
         args.n,

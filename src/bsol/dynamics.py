@@ -194,7 +194,9 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
     """
     if name == "austrian":
         if L is None:
-            raise ValueError("the austrian variant requires L")
+            raise ValueError("the austrian variant requires the machine lifetime L")
+        if L < 1:
+            raise ValueError(f"machine lifetime must be positive, got {L}")
         return Variant("austrian", austrian_step, "austrian", _make_austrian_enum(L))
     fixed = {
         "bulgarian": Variant("bulgarian", bulgarian_step, "partition", _enum_partitions),

@@ -9,6 +9,7 @@ applies that draw, so the move logic stays exhaustively testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable
 
 from .partitions import Composition, Partition, is_partition, normalize
@@ -228,16 +229,32 @@ def janetzko_step(state: PointerState) -> PointerState:
     return PointerState(tuple(piles), (i + m) % c + 1)
 
 
+def _settle(parts: list[int]) -> Partition:
+    """normalize() for a list the caller owns: sorted in place, zeros dropped.
+
+    The masked steps run once per chain move; sorting their own list saves
+    the copy and the filtering generator that normalize() needs.
+    """
+    parts.sort(reverse=True)
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
+
+
 def popov_masked_step(lam: Partition, mask: Iterable[int]) -> Partition:
     """Deterministic half of the pile-selection game: decrement exactly the
     masked piles (0-based indices) and stack the removed cards."""
     idx = set(mask)
-    if any(i < 0 or i >= len(lam) for i in idx):
+    if idx and (min(idx) < 0 or max(idx) >= len(lam)):
         raise ValueError(f"mask {sorted(idx)} out of range for {len(lam)} piles")
-    parts = [p - 1 if i in idx else p for i, p in enumerate(lam)]
+    parts = list(lam)
+    for i in idx:
+        parts[i] -= 1
     if idx:
         parts.append(len(idx))
-    return normalize(parts)
+    return _settle(parts)
 
 
 def ejs_masked_step(lam: Partition, picks: tuple[int, ...]) -> Partition:
@@ -245,10 +262,10 @@ def ejs_masked_step(lam: Partition, picks: tuple[int, ...]) -> Partition:
     from pile i and stack everything removed as one new pile."""
     if len(picks) != len(lam):
         raise ValueError(f"picks length {len(picks)} != pile count {len(lam)}")
-    if any(k < 0 or k > p for k, p in zip(picks, lam)):
+    parts = list(map(sub, lam, picks))
+    if min(picks, default=0) < 0 or min(parts, default=0) < 0:
         raise ValueError(f"picks {picks} out of range for {lam}")
-    parts = [p - k for p, k in zip(lam, picks)]
     taken = sum(picks)
     if taken > 0:
         parts.append(taken)
-    return normalize(parts)
+    return _settle(parts)

@@ -74,12 +74,12 @@ def potential_energy(lam: Partition) -> int:
     """Total box height of the Young diagram, box (i, j) sitting at i + j.
 
     Pile index i and card index j both start at 1 on the sorted
-    representation; the empty partition has energy 0.
+    representation; the empty partition has energy 0.  Pile i contributes
+    i*p + p(p+1)/2, so no box is visited.
     """
     total = 0
     for i, p in enumerate(lam, 1):
-        for j in range(1, p + 1):
-            total += i + j
+        total += i * p + p * (p + 1) // 2
     return total
 
 

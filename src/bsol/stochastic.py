@@ -13,12 +13,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .operators import ejs_masked_step, popov_masked_step
-from .partitions import Partition, format_parts, is_partition, potential_energy, triangular_decompose
+from .partitions import (
+    Partition,
+    format_parts,
+    is_partition,
+    potential_energy,
+    staircase,
+    triangular_decompose,
+)
 
 #: Generator identity; recorded in every ChainStats for reproducibility.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -33,14 +41,19 @@ def make_rng(seed: int) -> np.random.Generator:
 def sample_popov_mask(rng: np.random.Generator, lam: Partition, p: float) -> tuple[int, ...]:
     """Indices of the piles that lose a card this move."""
     hits = rng.random(len(lam)) < p
-    return tuple(int(i) for i in np.flatnonzero(hits))
+    return tuple(hits.nonzero()[0].tolist())
 
 
 def sample_ejs_picks(rng: np.random.Generator, lam: Partition, p: float) -> tuple[int, ...]:
     """Per-pile counts of picked cards; each card is picked independently."""
     if not lam:
         return ()
-    return tuple(int(v) for v in rng.binomial(np.asarray(lam), p))
+    return tuple(rng.binomial(lam, p).tolist())
+
+
+@lru_cache(maxsize=64)
+def _reference_staircase(n: int) -> Partition:
+    return staircase(triangular_decompose(n)[0])
 
 
 def staircase_distance(lam: Partition) -> float:
@@ -48,17 +61,17 @@ def staircase_distance(lam: Partition) -> float:
 
     The reference shape is (k, k-1, ..., 1) even for non-triangular totals,
     so distances are comparable along a whole run; it is 0 exactly on the
-    staircase of a triangular n.
+    staircase of a triangular n.  Past the shorter of lam and the staircase
+    the longer one is compared with zeros, so its tail counts in full.
     """
     n = sum(lam)
     if n == 0:
         return 0.0
-    k, _ = triangular_decompose(n)
-    width = max(len(lam), k)
+    ref = _reference_staircase(n)
     total = 0
-    for i in range(1, width + 1):
-        part = lam[i - 1] if i <= len(lam) else 0
-        total += abs(part - max(k + 1 - i, 0))
+    for part, step in zip(lam, ref):
+        total += abs(part - step)
+    total += sum(lam[len(ref):]) + sum(ref[len(lam):])
     return total / n
 
 

@@ -174,6 +174,28 @@ def test_cli_graph_env_limit(capsys, monkeypatch):
     assert run_cli(capsys, "graph", "--n", "8")[0] == 0
 
 
+def test_cli_graph_env_limit_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("BSOL_MAX_STATES", "x")
+    code, out, err = run_cli(capsys, "graph", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "BSOL_MAX_STATES" in err and "'x'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_graph_austrian_needs_positive_L(capsys):
+    code, out, err = run_cli(capsys, "graph", "--n", "5", "--variant", "austrian")
+    assert code == 2
+    assert out == ""
+    assert "lifetime L" in err
+    for bad in ("0", "-2"):
+        code, out, err = run_cli(capsys, "graph", "--n", "5", "--variant", "austrian", "--L", bad)
+        assert code == 2
+        assert out == ""
+        assert "lifetime must be positive" in err
+    assert run_cli(capsys, "graph", "--n", "5", "--variant", "austrian", "--L", "2")[0] == 0
+
+
 def test_cli_ge(capsys):
     code, out, _ = run_cli(capsys, "ge", "--n", "10")
     assert code == 0

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from bsol.cli import main
 from bsol.partitions import potential_energy, staircase
 from bsol.dynamics import orbit
 from bsol.operators import bulgarian_step
@@ -151,3 +153,27 @@ def test_stats_json_and_csv():
     lines = csv.strip().splitlines()
     assert lines[0] == "index,mean_part"
     assert lines[1] == "1,3.0"
+
+
+# --- pinned output bytes ---
+
+# SHA-256 of `bsol simulate --n 30 ...` stdout at the default chain lengths,
+# recorded before the chain's statistics and sample/move steps were sped up.
+# A seeded chain must print these exact bytes for as long as RNG_ALGORITHM
+# names the same stream; a new stream needs a new tag and new hashes.
+GOLDEN_SIMULATE = [
+    (("--variant", "popov", "--p", "0.9", "--seed", "7", "--format", "json"),
+     "1559e40ed34d7d522c035531a3ee6e0a2f28bdca23f54ce28cf285e3b94aa10e"),
+    (("--variant", "ejs", "--p", "0.5", "--seed", "11"),
+     "35788de528ccfd31e0a98fc653c31e8066e3f88a7a90e27f88935df8fadcbef0"),
+    (("--variant", "ejs", "--p", "0.5", "--seed", "13", "--format", "csv"),
+     "ec494941569f0b7822d96a17e41b5ea8450db3237759da255d6ad172fa33d001"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_SIMULATE)
+def test_seeded_simulate_output_is_pinned(capsys, args, digest):
+    assert RNG_ALGORITHM == "numpy-pcg64"
+    assert main(["simulate", "--n", "30", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
