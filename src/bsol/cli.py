@@ -113,18 +113,25 @@ def _space_size(variant: str, n: int, L: int | None) -> int:
 
 def _state_limit(args) -> int:
     if getattr(args, "limit", None) is not None:
+        if args.limit < 0:
+            raise ValueError(f"--limit must be nonnegative, got {args.limit}")
         return args.limit
     env = os.environ.get("BSOL_MAX_STATES")
     if env is not None:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
             raise ValueError(f"BSOL_MAX_STATES must be an integer, got {env!r}") from None
+        if limit < 0:
+            raise ValueError(f"BSOL_MAX_STATES must be nonnegative, got {env!r}")
+        return limit
     return DEFAULT_STATE_LIMIT
 
 
 def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
-    try:
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, got {n}")
+    try:  # what _space_size still refuses is a count past its bound
         size = _space_size(variant, n, L)
     except ValueError as exc:
         raise EnumerationBoundError(str(exc)) from None
@@ -146,7 +153,12 @@ def _cmd_orbit(args) -> int:
         start = PointerState(parse_state(args.state, "circular"), args.pointer)
     else:
         start = parse_state(args.state, variant.state_kind)
-    result = orbit(start, variant.step, step_bound=args.step_bound)
+    try:
+        result = orbit(start, variant.step, step_bound=args.step_bound)
+    except StepBoundError as exc:
+        if args.step_bound is None:
+            raise  # the default bound is proven safe, so this is a defect
+        raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
     if args.format == "json":
         print("\n".join(orbit_json_lines(result)))
         return 0
@@ -167,7 +179,6 @@ def _cmd_graph(args) -> int:
         args.n,
         args.variant,
         L=L,
-        workers=args.workers,
         keep_edges=args.format == "dot",
         max_n=args.n,
     )
@@ -189,16 +200,15 @@ def _cmd_graph(args) -> int:
 
 def _cmd_ge(args) -> int:
     _check_space("bulgarian", args.n, None, _state_limit(args))
-    ge = [
+    ge = (
         lam
         for lam in enumerate_partitions(args.n, max_n=args.n)
         if lam and garden_of_eden_test(lam)
-    ]
+    )
     if args.format == "json":
         print(json.dumps([list(lam) for lam in ge], indent=2))
     else:
-        for lam in ge:
-            print(format_parts(lam))
+        sys.stdout.writelines(format_parts(lam) + "\n" for lam in ge)
     return 0
 
 
@@ -309,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p.add_argument("--variant", default="bulgarian",
                          choices=["bulgarian", "dual", "carolina", "montreal", "austrian"])
     graph_p.add_argument("--L", type=int, help="machine lifetime (austrian)")
-    graph_p.add_argument("--workers", type=int, default=1)
     graph_p.add_argument("--limit", type=int, default=None,
                          help="maximum number of states to enumerate")
     graph_p.add_argument("--format", default="text", choices=["text", "json", "dot"])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -257,13 +256,6 @@ def _explore(seeds, step):
     return succ, dist, comp_of, cycles
 
 
-def _explore_chunk(args):
-    variant_name, L, seeds = args
-    variant = get_variant(variant_name, L=L)
-    succ, dist, _, cycles = _explore(seeds, variant.step)
-    return succ, dist, cycles
-
-
 @dataclass(frozen=True)
 class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n."""
@@ -314,7 +306,6 @@ def analyze_state_space(
     variant: str = "bulgarian",
     *,
     L: int | None = None,
-    workers: int = 1,
     keep_edges: bool = False,
     max_n: int | None = None,
 ) -> GraphSummary:
@@ -322,25 +313,13 @@ def analyze_state_space(
 
     Orbits may pass through states outside the seed enumeration (the
     Montreal stratum is not closed under its step); everything visited is
-    included in the counts.  Results are identical for any worker count.
+    included in the counts.
     """
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
     seeds = list(game.enumerate_states(n, max_n))
-    if workers <= 1:
-        succ, dist, _, cycles = _explore(seeds, game.step)
-    else:
-        chunk = max(1, -(-len(seeds) // workers))
-        jobs = [
-            (variant, L, seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)
-        ]
-        succ, dist, cycles = {}, {}, {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_succ, part_dist, part_cycles in pool.map(_explore_chunk, jobs):
-                succ.update(part_succ)
-                dist.update(part_dist)
-                cycles.update(part_cycles)
+    succ, dist, _, cycles = _explore(seeds, game.step)
     indeg = Counter(succ.values())
     ge = tuple(sorted(s for s in succ if indeg[s] == 0))
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
@@ -383,23 +362,27 @@ class KnuthReport:
 
 
 def knuth_exponent_check(k: int, *, max_n: int | None = None) -> KnuthReport:
+    """Check that B^(k(k-1)) sends every partition of k(k+1)/2 to the staircase.
+
+    Every partition is stepped once: the memoised explorer gives each its
+    component and its distance to that component's cycle.  The staircase is
+    a fixed point, so it keys its own component, and a partition reaches it
+    within the exponent exactly when it lies in that component at distance
+    at most the exponent.  Memory is O(p(n)), as for analyze_state_space.
+    Witnesses come in enumeration order.
+    """
+    return _knuth_check(k, k * (k - 1), max_n=max_n)
+
+
+def _knuth_check(k: int, exponent: int, *, max_n: int | None = None) -> KnuthReport:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    exponent = k * (k - 1)
-    bad = []
-    checked = 0
-    for lam in enumerate_partitions(n, max_n=max_n):
-        checked += 1
-        x = lam
-        for _ in range(exponent):
-            if x == sigma:  # the staircase is fixed, no need to continue
-                break
-            x = bulgarian_step(x)
-        if x != sigma:
-            bad.append(lam)
-    return KnuthReport(k, n, exponent, checked, tuple(bad))
+    seeds = list(enumerate_partitions(n, max_n=max_n))
+    _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
+    bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
+    return KnuthReport(k, n, exponent, len(seeds), bad)
 
 
 @dataclass(frozen=True)

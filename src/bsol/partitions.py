@@ -91,6 +91,10 @@ def enumerate_partitions(
     max_part restricts all parts to at most that value.  Enumeration is
     refused above the configured bound (default PARTITION_ENUM_BOUND);
     pass max_n explicitly to lift it.
+
+    The unbounded case is Zoghbi and Stojmenovic's ZS1: every slot past the
+    current parts already holds a 1 and h marks the last part above 1, so
+    a step touches only the parts it changes and never rescans trailing 1s.
     """
     bound = PARTITION_ENUM_BOUND if max_n is None else max_n
     if n < 0:
@@ -103,23 +107,31 @@ def enumerate_partitions(
     if n == 0:
         yield ()
         return
-    parts = [n]
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0  # number of parts; index of the last part above 1
     yield (n,)
-    while True:
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        freed = len(parts) - i  # the decremented unit plus all trailing ones
-        parts[i] -= 1
-        del parts[i + 1 :]
-        cap = parts[i]
-        while freed > 0:
-            chunk = min(cap, freed)
-            parts.append(chunk)
-            freed -= chunk
-        yield tuple(parts)
+    while x[0] != 1:
+        if x[h] == 2:  # 2 -> 1,1: the new 1 is already in place
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h  # units to refill after x[h]: the one taken plus the trailing 1s
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def _bounded_partitions(n: int, cap: int) -> Iterator[Partition]:

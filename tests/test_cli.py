@@ -127,9 +127,25 @@ def test_cli_orbit_bad_state_exits_2(capsys):
     assert code == 2
 
 
-def test_cli_orbit_step_bound_exit_4(capsys):
-    code, _, err = run_cli(capsys, "orbit", "--state", "4,3,3", "--step-bound", "2")
+def test_cli_orbit_step_bound_exit_4(capsys, monkeypatch):
+    # the default bound sits above every real orbit, so only a defect can
+    # exceed it; shrink it to stand in for one
+    monkeypatch.setattr("bsol.dynamics.default_step_bound", lambda state: 2)
+    code, out, err = run_cli(capsys, "orbit", "--state", "4,3,3")
     assert code == 4
+    assert out == ""
+    assert "no repetition within 2 steps" in err
+    assert "--step-bound" not in err
+
+
+def test_cli_orbit_user_step_bound_too_small_exits_2(capsys):
+    for bound in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", bound)
+        assert code == 2
+        assert out == ""
+        assert f"--step-bound {bound} is too small" in err
+        assert "Traceback" not in err
+    assert run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", "20")[0] == 0
 
 
 def test_cli_unknown_command_exits_2(capsys):
@@ -154,13 +170,6 @@ def test_cli_graph_dot(capsys):
     assert "ge=true" in out
 
 
-def test_cli_graph_workers_deterministic(capsys):
-    code, out1, _ = run_cli(capsys, "graph", "--n", "9", "--format", "json")
-    code2, out2, _ = run_cli(capsys, "graph", "--n", "9", "--format", "json", "--workers", "2")
-    assert code == code2 == 0
-    assert out1 == out2
-
-
 def test_cli_graph_limit_exit_3(capsys):
     code, _, err = run_cli(capsys, "graph", "--n", "8", "--limit", "10")
     assert code == 3
@@ -172,6 +181,33 @@ def test_cli_graph_env_limit(capsys, monkeypatch):
     assert run_cli(capsys, "graph", "--n", "8")[0] == 3
     monkeypatch.setenv("BSOL_MAX_STATES", "100")
     assert run_cli(capsys, "graph", "--n", "8")[0] == 0
+
+
+def test_cli_negative_n_exits_2(capsys):
+    for argv in (("graph", "--n", "-1"), ("ge", "--n", "-3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--n must be nonnegative" in err
+
+
+def test_cli_negative_limit_exits_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "graph", "--n", "5", "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--limit must be nonnegative" in err
+    monkeypatch.setenv("BSOL_MAX_STATES", "-1")
+    code, out, err = run_cli(capsys, "graph", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "BSOL_MAX_STATES must be nonnegative" in err
+
+
+def test_cli_graph_over_the_counting_bound_exits_3(capsys):
+    code, out, err = run_cli(capsys, "graph", "--n", "300")
+    assert code == 3
+    assert out == ""
+    assert "counting bound" in err
 
 
 def test_cli_graph_env_limit_not_an_integer_exits_2(capsys, monkeypatch):
@@ -203,6 +239,8 @@ def test_cli_ge(capsys):
     expected = [lam for lam in enumerate_partitions(10) if lam[0] < len(lam) - 1]
     assert len(lines) == len(expected)
     assert "2,2,2,2,2" in lines
+    for n in ("1", "2"):  # no Garden of Eden state below n = 3
+        assert run_cli(capsys, "ge", "--n", n)[:2] == (0, "")
 
 
 def test_cli_necklaces(capsys):

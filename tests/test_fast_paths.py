@@ -1,18 +1,29 @@
-"""Differential tests: each fast chain-path body against the loop it replaced.
+"""Differential tests: each fast path against the loop it replaced.
 
-The oracles below are the earlier box-by-box and index-by-index
-implementations, kept verbatim as references.  Results are compared with
-==, floats included, because the arithmetic is the same integer total
-divided by the same n; a ValueError must be raised by both or by neither,
-with the same message.
+The oracles below are the earlier box-by-box, index-by-index and
+state-by-state implementations, kept verbatim as references.  Results are
+compared with ==, floats included, because the arithmetic is the same
+integer total divided by the same n; a ValueError must be raised by both
+or by neither, with the same message.  The exhaustive commands' stdout is
+pinned by SHA-256.
 """
 
+import hashlib
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsol.operators import ejs_masked_step, popov_masked_step
-from bsol.partitions import enumerate_partitions, normalize, potential_energy, triangular_decompose
+from bsol.cli import main
+from bsol.dynamics import _knuth_check, knuth_exponent_check
+from bsol.operators import bulgarian_step, ejs_masked_step, popov_masked_step
+from bsol.partitions import (
+    enumerate_partitions,
+    normalize,
+    potential_energy,
+    staircase,
+    triangular_decompose,
+)
 from bsol.stochastic import staircase_distance
 
 
@@ -59,6 +70,44 @@ def ejs_masked_step_oracle(lam, picks):
     if taken > 0:
         parts.append(taken)
     return normalize(parts)
+
+
+def enumerate_partitions_oracle(n):
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    yield (n,)
+    while True:
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        freed = len(parts) - i  # the decremented unit plus all trailing ones
+        parts[i] -= 1
+        del parts[i + 1 :]
+        cap = parts[i]
+        while freed > 0:
+            chunk = min(cap, freed)
+            parts.append(chunk)
+            freed -= chunk
+        yield tuple(parts)
+
+
+def knuth_witnesses_oracle(k, exponent):
+    n = k * (k + 1) // 2
+    sigma = staircase(k)
+    bad = []
+    for lam in enumerate_partitions_oracle(n):
+        x = lam
+        for _ in range(exponent):
+            if x == sigma:  # the staircase is fixed, no need to continue
+                break
+            x = bulgarian_step(x)
+        if x != sigma:
+            bad.append(lam)
+    return tuple(bad)
 
 
 def outcome(fn, *args):
@@ -151,3 +200,43 @@ def test_fast_bodies_match_oracles_on_random_partitions(data):
     fast = outcome(ejs_masked_step, lam, picks)
     assert fast == outcome(ejs_masked_step_oracle, lam, picks)
     assert (fast[:1] == ("ValueError",)) == (spoil != "none")
+
+
+# --- exhaustive enumeration and the Knuth check ---
+
+def test_enumerate_partitions_matches_oracle():
+    for n in range(46):
+        assert list(enumerate_partitions(n, max_n=n)) == list(enumerate_partitions_oracle(n))
+
+
+def test_knuth_check_matches_stepping_oracle():
+    for k in range(1, 8):
+        report = knuth_exponent_check(k)
+        assert report.witnesses == knuth_witnesses_oracle(k, k * (k - 1)) == ()
+        assert report.states_checked == len(list(enumerate_partitions_oracle(report.n)))
+    # below the proven exponent the witness lists are non-empty and ordered
+    for k in range(1, 7):
+        for exponent in range(k * (k - 1) + 1):
+            report = _knuth_check(k, exponent)
+            assert report.exponent == exponent
+            assert report.witnesses == knuth_witnesses_oracle(k, exponent)
+    assert _knuth_check(6, 0).witnesses[:2] == ((21,), (20, 1))
+
+
+# SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
+# check moved onto the explorer and enumeration onto ZS1.
+GOLDEN_EXHAUSTIVE = [
+    (("graph", "--n", "20", "--format", "json"),
+     "0904ed699a810abe1405ed29d66d2791891f457886b856781bb55841abdd37ce"),
+    (("knuth", "--k", "6"),
+     "581c4f219b152d7af36836db886853f3f2fce4116e80a3054e1697d4f1a9a82c"),
+    (("ge", "--n", "20"),
+     "1fead6374c31c66ec76b57c65c6dfb2991e25aae605b89123183fc39571075db"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE)
+def test_exhaustive_output_is_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
