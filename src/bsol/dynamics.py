@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .operators import (
     AustrianState,
@@ -36,6 +36,7 @@ from .partitions import (
     enumerate_montreal_compositions,
     enumerate_partitions,
     format_parts,
+    join_parts,
     parts_to_json,
     staircase,
 )
@@ -61,6 +62,57 @@ def state_to_jsonable(state: State) -> dict:
     if isinstance(state, MultiplayerState):
         return {"players": [list(lam) for lam in state.players]}
     return state.to_jsonable()
+
+
+def _breaks(indent: int | str | None, depth: int) -> tuple[str, str, str, str, str]:
+    """The line breaks json.dumps(..., indent=indent) writes at depth,
+    depth + 1 and depth + 2, and its member separators at the two deeper
+    levels; without an indent there are no breaks."""
+    if indent is None:
+        return "", "", "", ", ", ", "
+    pad = indent if isinstance(indent, str) else " " * indent
+    nl0 = "\n" + pad * depth
+    return nl0, nl0 + pad, nl0 + 2 * pad, "," + nl0 + pad, "," + nl0 + 2 * pad
+
+
+def _state_json_writer(indent: int | str | None, depth: int) -> Callable[[State], str]:
+    """Render json.dumps(state_to_jsonable(state), indent=indent) as it
+    reads nested depth levels down a document.
+
+    Nonempty tuples fill a template of parts_to_json's object with the
+    parts' texts.  Other states go through json.dumps, re-indented at every
+    newline: json escapes newlines inside strings, so each raw one starts a
+    line.
+    """
+    nl0, nl1, nl2, sep1, sep2 = _breaks(indent, depth)
+    head = f'{{{nl1}"parts": [{nl2}'
+    mid = f'{nl1}]{sep1}"n": '
+    tail = nl0 + "}"
+
+    def render(state: State) -> str:
+        if isinstance(state, tuple) and state:
+            return f"{head}{join_parts(state, sep2)}{mid}{sum(state)}{tail}"
+        return json.dumps(state_to_jsonable(state), indent=indent).replace("\n", nl0)
+
+    return render
+
+
+def dumps_with_bulk(
+    head: dict, key: str, brackets: str, members: Iterable[str], indent: int | str | None
+) -> str:
+    """json.dumps({**head, key: value}, indent=indent) for a large list or
+    dict value whose members come already rendered, two levels down.
+
+    json uses its C encoder only without an indent; with one it falls back
+    to a pure-Python encoder that also holds every fragment until the end.
+    Here only the small head goes through json.  brackets is "[]" or "{}",
+    and a dict member is its '"key": value' text.
+    """
+    text = json.dumps(head, indent=indent)
+    nl0, nl1, nl2, sep1, sep2 = _breaks(indent, 0)
+    body = sep2.join(members)
+    opening, closing = (brackets[0] + nl2, nl1 + brackets[1]) if body else (brackets, "")
+    return f"{text[:-len(nl0) - 1]}{sep1}{json.dumps(key)}: {opening}{body}{closing}{nl0}}}"
 
 
 def state_label(state: State) -> str:
@@ -277,26 +329,24 @@ class GraphSummary:
         return tuple(len(c) for c in self.cycles)
 
     def to_json(self, indent: int | None = None) -> str:
-        data = {
+        head = {
             "n": self.n,
             "variant": self.variant,
             "state_count": self.state_count,
             "component_count": self.component_count,
             "max_tail": self.max_tail,
             "cycles": [[state_to_jsonable(s) for s in cyc] for cyc in self.cycles],
-            "ge_states": [state_to_jsonable(s) for s in self.ge_states],
         }
-        return json.dumps(data, indent=indent)
+        ge = map(_state_json_writer(indent, 2), self.ge_states)
+        return dumps_with_bulk(head, "ge_states", "[]", ge, indent)
 
     def to_dot(self) -> str:
         """DOT digraph with one edge per state; GE nodes are marked."""
         if self.edges is None:
             raise ValueError("summary was built without keep_edges=True")
         lines = [f"digraph {self.variant}_n{self.n} {{"]
-        for s in self.ge_states:
-            lines.append(f'  "{state_label(s)}" [ge=true, style=dashed];')
-        for a, b in self.edges:
-            lines.append(f'  "{state_label(a)}" -> "{state_label(b)}";')
+        lines.extend(f'  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states)
+        lines.extend(f'  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges)
         lines.append("}")
         return "\n".join(lines)
 

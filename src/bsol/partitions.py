@@ -92,25 +92,30 @@ def enumerate_partitions(
     refused above the configured bound (default PARTITION_ENUM_BOUND);
     pass max_n explicitly to lift it.
 
-    The unbounded case is Zoghbi and Stojmenovic's ZS1: every slot past the
-    current parts already holds a 1 and h marks the last part above 1, so
-    a step touches only the parts it changes and never rescans trailing 1s.
+    This is Zoghbi and Stojmenovic's ZS1: every slot past the current parts
+    already holds a 1 and h marks the last part above 1, so a step touches
+    only the parts it changes and never rescans trailing 1s.
     """
     bound = PARTITION_ENUM_BOUND if max_n is None else max_n
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > bound:
         raise EnumerationBoundError(f"n={n} exceeds the enumeration bound {bound}")
-    if max_part is not None:
-        yield from _bounded_partitions(n, max_part)
-        return
     if n == 0:
         yield ()
         return
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0  # number of parts; index of the last part above 1
-    yield (n,)
+    cap = n if max_part is None else min(max_part, n)
+    if cap < 1:
+        return
+    # In reverse-lexicographic order the partitions with parts <= cap are
+    # the suffix that starts at the greedy (cap, ..., cap, n mod cap).
+    q, r = divmod(n, cap)
+    x = [cap] * q + [1] * (n - q)
+    if r:
+        x[q] = r
+    m = q + (r > 0)  # number of parts
+    h = q if r > 1 else q - 1  # index of the last part above 1 (unused once all are 1)
+    yield tuple(x[:m])
     while x[0] != 1:
         if x[h] == 2:  # 2 -> 1,1: the new 1 is already in place
             x[h] = 1
@@ -132,17 +137,6 @@ def enumerate_partitions(
                     h += 1
                     x[h] = t
         yield tuple(x[:m])
-
-
-def _bounded_partitions(n: int, cap: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    if cap < 1:
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _bounded_partitions(n - first, first):
-            yield (first,) + rest
 
 
 def enumerate_compositions(n: int, *, max_n: int | None = None) -> Iterator[Composition]:
@@ -200,11 +194,24 @@ def _montreal_tail(n: int, length: int) -> Iterator[Composition]:
             yield (v,) + rest
 
 
+# Decimal text of the small nonnegative ints; a dict, so a negative or a
+# large part misses and falls back to str instead of picking a wrong entry.
+_DIGITS = {i: str(i) for i in range(256)}
+
+
+def join_parts(parts: tuple[int, ...], sep: str = ",") -> str:
+    """The parts' decimal texts joined by sep."""
+    try:
+        return sep.join(map(_DIGITS.__getitem__, parts))
+    except KeyError:
+        return sep.join(map(str, parts))
+
+
 def format_parts(parts: tuple[int, ...]) -> str:
     """Comma-separated text form; the empty state prints as "0"."""
     if not parts:
         return "0"
-    return ",".join(str(p) for p in parts)
+    return join_parts(parts)
 
 
 def parse_parts(text: str) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ Identical configs (including the seed) give bit-identical results.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .dynamics import dumps_with_bulk
 from .operators import ejs_masked_step, popov_masked_step
 from .partitions import (
     Partition,
@@ -130,18 +130,20 @@ class ChainStats:
     path: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, indent: int | None = None) -> str:
-        data = {
+        head = {
             "config": self.config.to_jsonable(),
             "rng_algorithm": self.rng_algorithm,
             "mean_shape": list(self.mean_shape),
             "mean_staircase_distance": self.mean_staircase_distance,
             "mean_energy": self.mean_energy,
-            "visit_counts": {
-                format_parts(lam): count
-                for lam, count in sorted(self.visit_counts.items(), reverse=True)
-            },
         }
-        return json.dumps(data, indent=indent)
+        # the states are distinct, so sorting them alone orders the items;
+        # a key is digits and commas, so it needs no escaping
+        visits = self.visit_counts
+        counts = (
+            f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
+        )
+        return dumps_with_bulk(head, "visit_counts", "{}", counts, indent)
 
     def mean_shape_csv(self) -> str:
         lines = ["index,mean_part"]

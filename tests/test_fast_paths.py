@@ -4,27 +4,43 @@ The oracles below are the earlier box-by-box, index-by-index and
 state-by-state implementations, kept verbatim as references.  Results are
 compared with ==, floats included, because the arithmetic is the same
 integer total divided by the same n; a ValueError must be raised by both
-or by neither, with the same message.  The exhaustive commands' stdout is
-pinned by SHA-256.
+or by neither, with the same message.  The JSON and DOT writers are
+compared with json.dumps and the old DOT loop.  The exhaustive commands'
+stdout is pinned by SHA-256.
 """
 
 import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsol.cli import main
-from bsol.dynamics import _knuth_check, knuth_exponent_check
-from bsol.operators import bulgarian_step, ejs_masked_step, popov_masked_step
+from bsol.dynamics import (
+    _knuth_check,
+    _state_json_writer,
+    analyze_state_space,
+    knuth_exponent_check,
+    state_to_jsonable,
+)
+from bsol.operators import (
+    AustrianState,
+    MultiplayerState,
+    PointerState,
+    bulgarian_step,
+    ejs_masked_step,
+    popov_masked_step,
+)
 from bsol.partitions import (
     enumerate_partitions,
+    format_parts,
     normalize,
     potential_energy,
     staircase,
     triangular_decompose,
 )
-from bsol.stochastic import staircase_distance
+from bsol.stochastic import ChainConfig, run_chain, staircase_distance
 
 
 # --- reference oracles ---
@@ -93,6 +109,71 @@ def enumerate_partitions_oracle(n):
             parts.append(chunk)
             freed -= chunk
         yield tuple(parts)
+
+
+def bounded_partitions_oracle(n, cap):
+    if n == 0:
+        yield ()
+        return
+    if cap < 1:
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in bounded_partitions_oracle(n - first, first):
+            yield (first,) + rest
+
+
+def format_parts_oracle(parts):
+    if not parts:
+        return "0"
+    return ",".join(str(p) for p in parts)
+
+
+def state_label_oracle(state):
+    if isinstance(state, tuple):
+        return format_parts_oracle(state)
+    if isinstance(state, AustrianState):
+        return f"{format_parts_oracle(state.piles)};bank={state.bank}"
+    if isinstance(state, PointerState):
+        return f"{format_parts_oracle(state.piles)};ptr={state.pointer}"
+    return "|".join(format_parts_oracle(lam) for lam in state.players)
+
+
+def graph_json_oracle(g, indent):
+    data = {
+        "n": g.n,
+        "variant": g.variant,
+        "state_count": g.state_count,
+        "component_count": g.component_count,
+        "max_tail": g.max_tail,
+        "cycles": [[state_to_jsonable(s) for s in cyc] for cyc in g.cycles],
+        "ge_states": [state_to_jsonable(s) for s in g.ge_states],
+    }
+    return json.dumps(data, indent=indent)
+
+
+def graph_dot_oracle(g):
+    lines = [f"digraph {g.variant}_n{g.n} {{"]
+    for s in g.ge_states:
+        lines.append(f'  "{state_label_oracle(s)}" [ge=true, style=dashed];')
+    for a, b in g.edges:
+        lines.append(f'  "{state_label_oracle(a)}" -> "{state_label_oracle(b)}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def chain_json_oracle(stats, indent):
+    data = {
+        "config": stats.config.to_jsonable(),
+        "rng_algorithm": stats.rng_algorithm,
+        "mean_shape": list(stats.mean_shape),
+        "mean_staircase_distance": stats.mean_staircase_distance,
+        "mean_energy": stats.mean_energy,
+        "visit_counts": {
+            format_parts_oracle(lam): count
+            for lam, count in sorted(stats.visit_counts.items(), reverse=True)
+        },
+    }
+    return json.dumps(data, indent=indent)
 
 
 def knuth_witnesses_oracle(k, exponent):
@@ -209,6 +290,13 @@ def test_enumerate_partitions_matches_oracle():
         assert list(enumerate_partitions(n, max_n=n)) == list(enumerate_partitions_oracle(n))
 
 
+def test_bounded_enumeration_matches_recursive_oracle():
+    for n in range(31):
+        for cap in range(-1, n + 2):
+            assert (list(enumerate_partitions(n, max_part=cap, max_n=n))
+                    == list(bounded_partitions_oracle(n, cap)))
+
+
 def test_knuth_check_matches_stepping_oracle():
     for k in range(1, 8):
         report = knuth_exponent_check(k)
@@ -223,6 +311,57 @@ def test_knuth_check_matches_stepping_oracle():
     assert _knuth_check(6, 0).witnesses[:2] == ((21,), (20, 1))
 
 
+# --- the JSON and DOT writers ---
+
+INDENTS = [None, 0, 2, 4, "\t"]
+
+GRAPHS = [
+    *[("bulgarian", n, None) for n in range(11)],
+    *[("dual", n, None) for n in range(1, 11)],
+    *[("carolina", n, None) for n in range(1, 11)],
+    *[("montreal", n, None) for n in range(1, 9)],
+    *[("austrian", n, L) for L in range(1, 5) for n in range(11)],
+]
+
+
+@pytest.mark.parametrize("variant, n, L", GRAPHS)
+def test_graph_writers_match_json_dumps_and_the_dot_loop(variant, n, L):
+    g = analyze_state_space(n, variant, L=L, keep_edges=True)
+    for indent in INDENTS:
+        assert g.to_json(indent) == graph_json_oracle(g, indent)
+    assert g.to_dot() == graph_dot_oracle(g)
+
+
+def test_graph_writers_cover_empty_and_generic_ge_lists():
+    assert all(not analyze_state_space(n).ge_states for n in (0, 1, 2))
+    assert any(s.bank for s in analyze_state_space(10, "austrian", L=3).ge_states)
+
+
+def test_state_writer_matches_json_dumps_for_every_state_kind():
+    states = [(), (3,), (4, 0, 2), (300, 1), AustrianState((3, 1), 2, 4),
+              PointerState((0, 2, 1), 2), MultiplayerState(((2, 1), (3,)))]
+    for indent in INDENTS:
+        render = _state_json_writer(indent, 0)
+        for s in states:
+            assert render(s) == json.dumps(state_to_jsonable(s), indent=indent)
+
+
+@pytest.mark.parametrize("variant, n, samples", [
+    ("popov", 12, 400), ("ejs", 15, 300), ("popov", 300, 20), ("ejs", 5, 0),
+])
+def test_chain_json_matches_json_dumps(variant, n, samples):
+    stats = run_chain(ChainConfig(n, variant, 0.7, seed=n, burn_in=10, samples=samples))
+    assert (samples == 0) == (not stats.visit_counts)
+    for indent in INDENTS:
+        assert stats.to_json(indent) == chain_json_oracle(stats, indent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-5, 300), st.integers()), max_size=12).map(tuple))
+def test_format_parts_matches_str_join(parts):
+    assert format_parts(parts) == format_parts_oracle(parts)
+
+
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
 # check moved onto the explorer and enumeration onto ZS1.
 GOLDEN_EXHAUSTIVE = [
@@ -235,7 +374,21 @@ GOLDEN_EXHAUSTIVE = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE)
+# recorded before the JSON and DOT writers stopped going through json's
+# indenting encoder and the old per-state loops
+GOLDEN_WRITERS = [
+    (("graph", "--variant", "carolina", "--n", "10", "--format", "dot"),
+     "2894112eac08c328c19470f157e031c9947a6afd0df8a20eca74e5a9b421a9d6"),
+    (("graph", "--variant", "austrian", "--n", "12", "--L", "3", "--format", "json"),
+     "ebada27ab408bb8cd5eed3586738fe59d3323a65834cee5fdb96a7c4d5cd08d7"),
+    (("graph", "--variant", "montreal", "--n", "6", "--format", "json"),
+     "aa9f0a4cdf62999a939a74ca23af6abdb8de7a4a6c1cf7d74a27d4e90a1ad3ee"),
+    (("graph", "--variant", "dual", "--n", "16", "--format", "json"),
+     "28c78b0429fab5b97d976f78ee9bd8b51802c0eae9e23d2a9bc34dca40c0c1c2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
