@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from math import comb
+from typing import Iterator
 
 from .dynamics import (
     StepBoundError,
@@ -33,6 +34,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     format_parts,
+    join_parts,
     normalize,
     parse_parts,
     triangular_decompose,
@@ -206,10 +208,20 @@ def _cmd_ge(args) -> int:
         if lam and garden_of_eden_test(lam)
     )
     if args.format == "json":
-        print(json.dumps([list(lam) for lam in ge], indent=2))
+        sys.stdout.writelines(_json_list_of_parts(ge))
     else:
         sys.stdout.writelines(format_parts(lam) + "\n" for lam in ge)
     return 0
+
+
+def _json_list_of_parts(states) -> Iterator[str]:
+    """print(json.dumps([list(s) for s in states], indent=2)) for nonempty
+    states, a state at a time: json's indenting encoder holds it all."""
+    sep = "[\n  "
+    for lam in states:
+        yield sep + "[\n    " + join_parts(lam, ",\n    ") + "\n  ]"
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _cmd_necklaces(args) -> int:

@@ -12,7 +12,6 @@ partition, and reachability of every cycle from a Garden of Eden state.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -59,8 +58,6 @@ def state_total(state: State) -> int:
 def state_to_jsonable(state: State) -> dict:
     if isinstance(state, tuple):
         return parts_to_json(state)
-    if isinstance(state, MultiplayerState):
-        return {"players": [list(lam) for lam in state.players]}
     return state.to_jsonable()
 
 
@@ -308,6 +305,12 @@ def _explore(seeds, step):
     return succ, dist, comp_of, cycles
 
 
+def _garden_of_eden(succ: dict) -> list:
+    """The visited states that no visited state steps to, ascending."""
+    targets = set(succ.values())
+    return sorted(s for s in succ if s not in targets)
+
+
 @dataclass(frozen=True)
 class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n."""
@@ -370,8 +373,6 @@ def analyze_state_space(
         raise ValueError(f"variant {variant!r} has no state enumeration")
     seeds = list(game.enumerate_states(n, max_n))
     succ, dist, _, cycles = _explore(seeds, game.step)
-    indeg = Counter(succ.values())
-    ge = tuple(sorted(s for s in succ if indeg[s] == 0))
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
         n=n,
@@ -379,7 +380,7 @@ def analyze_state_space(
         state_count=len(succ),
         cycles=ordered_cycles,
         max_tail=max(dist.values(), default=0),
-        ge_states=ge,
+        ge_states=tuple(_garden_of_eden(succ)),
         edges=tuple(sorted(succ.items())) if keep_edges else None,
     )
 
@@ -455,24 +456,19 @@ def toom_path(k: int) -> ToomReport:
     """Iterate from tau = (k-1, k-1, k-2, ..., 2, 1, 1) to the staircase.
 
     Checks that the trip takes exactly k(k-1) moves and that states i and
-    k(k-1)-i-1 along the way are conjugate partitions.
+    k(k-1)-i-1 along the way are conjugate partitions.  The staircase is a
+    fixed point, so the orbit ends on it twice; the path drops the repeat.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     tau = (k - 1,) + staircase(k - 1) + (1,)
-    sigma = staircase(k)
     expected = k * (k - 1)
-    path = [tau]
-    bound = default_step_bound(tau)
-    while path[-1] != sigma:
-        path.append(bulgarian_step(path[-1]))
-        if len(path) > bound:
-            raise StepBoundError(f"staircase not reached from {tau} within {bound} steps")
+    path = orbit(tau, bulgarian_step).path[:-1]
     s = len(path) - 1
     conjugacy = s == expected and all(
         path[i] == conjugate(path[s - i - 1]) for i in range(s)
     )
-    return ToomReport(k, tau, s, expected, conjugacy, tuple(path))
+    return ToomReport(k, tau, s, expected, conjugacy, path)
 
 
 @dataclass(frozen=True)
@@ -499,13 +495,9 @@ def ge_reachability_check(n: int, *, max_n: int | None = None) -> ReachabilityRe
         raise ValueError(f"defined for n >= 3, got {n}")
     seeds = list(enumerate_partitions(n, max_n=max_n))
     succ, _, comp_of, cycles = _explore(seeds, bulgarian_step)
-    indeg = Counter(succ.values())
     ge_by_comp: dict = {}
-    for s in seeds:
-        if indeg[s] == 0:
-            key = comp_of[s]
-            if key not in ge_by_comp or s < ge_by_comp[key]:
-                ge_by_comp[key] = s
+    for s in _garden_of_eden(succ):  # ascending, so each component keeps its smallest
+        ge_by_comp.setdefault(comp_of[s], s)
     witnesses = []
     holds = True
     for key in sorted(cycles):

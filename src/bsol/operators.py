@@ -145,6 +145,9 @@ class MultiplayerState:
     def total(self) -> int:
         return sum(sum(lam) for lam in self.players)
 
+    def to_jsonable(self) -> dict:
+        return {"players": [list(lam) for lam in self.players]}
+
 
 def multiplayer_step(state: MultiplayerState) -> MultiplayerState:
     """Everyone plays a Bulgarian move at once, passing the new pile rightward.
@@ -229,20 +232,6 @@ def janetzko_step(state: PointerState) -> PointerState:
     return PointerState(tuple(piles), (i + m) % c + 1)
 
 
-def _settle(parts: list[int]) -> Partition:
-    """normalize() for a list the caller owns: sorted in place, zeros dropped.
-
-    The masked steps run once per chain move; sorting their own list saves
-    the copy and the filtering generator that normalize() needs.
-    """
-    parts.sort(reverse=True)
-    if parts and parts[-1] < 0:
-        raise ValueError(f"negative part in {parts}")
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
 def popov_masked_step(lam: Partition, mask: Iterable[int]) -> Partition:
     """Deterministic half of the pile-selection game: decrement exactly the
     masked piles (0-based indices) and stack the removed cards."""
@@ -254,7 +243,7 @@ def popov_masked_step(lam: Partition, mask: Iterable[int]) -> Partition:
         parts[i] -= 1
     if idx:
         parts.append(len(idx))
-    return _settle(parts)
+    return normalize(parts)
 
 
 def ejs_masked_step(lam: Partition, picks: tuple[int, ...]) -> Partition:
@@ -268,4 +257,4 @@ def ejs_masked_step(lam: Partition, picks: tuple[int, ...]) -> Partition:
     taken = sum(picks)
     if taken > 0:
         parts.append(taken)
-    return _settle(parts)
+    return normalize(parts)

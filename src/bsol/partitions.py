@@ -27,11 +27,13 @@ class EnumerationBoundError(RuntimeError):
 
 
 def normalize(raw: Iterable[int]) -> Partition:
-    """Sort parts nonincreasing and drop zeros, preserving the total."""
+    """Sort a copy of the parts nonincreasing and drop zeros, preserving the total."""
     parts = sorted(raw, reverse=True)
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part in {parts}")
-    return tuple(p for p in parts if p > 0)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
 
 
 def is_partition(parts: tuple[int, ...]) -> bool:
@@ -170,27 +172,17 @@ def enumerate_montreal_compositions(
         raise ValueError(f"n must be positive, got {n}")
     limit = n if max_len is None else max_len
     for length in range(1, limit + 1):
-        yield from _montreal_fixed_length(n, length)
+        yield from _montreal_tail(n, length, 1)
 
 
-def _montreal_fixed_length(n: int, length: int) -> Iterator[Composition]:
+def _montreal_tail(n: int, length: int, low: int) -> Iterator[Composition]:
+    # the last `length` entries of a Montreal composition, summing to n >= 1:
+    # the first at least low and below n, so the last stays positive
     if length == 1:
-        if n >= 1:
-            yield (n,)
+        yield (n,)
         return
-    for first in range(n - 1, 0, -1):
-        for rest in _montreal_tail(n - first, length - 1):
-            yield (first,) + rest
-
-
-def _montreal_tail(n: int, length: int) -> Iterator[Composition]:
-    # tail of a Montreal composition: last entry positive, the rest free
-    if length == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for v in range(n, -1, -1):
-        for rest in _montreal_tail(n - v, length - 1):
+    for v in range(n - 1, low - 1, -1):
+        for rest in _montreal_tail(n - v, length - 1, 0):
             yield (v,) + rest
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -152,16 +151,6 @@ class ChainStats:
         return "\n".join(lines) + "\n"
 
 
-def _chain_states(config: ChainConfig, rng: np.random.Generator) -> Iterator[Partition]:
-    state = config.initial
-    for _ in range(config.burn_in + config.samples):
-        if config.variant == "popov":
-            state = popov_masked_step(state, sample_popov_mask(rng, state, config.p))
-        else:
-            state = ejs_masked_step(state, sample_ejs_picks(rng, state, config.p))
-        yield state
-
-
 def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
     """Run burn_in + samples moves, tallying the recorded phase.
 
@@ -169,10 +158,16 @@ def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
     samples states is counted once.  With record_path=True the full
     trajectory (initial state included) is kept on the result.
     """
+    if config.variant == "popov":
+        sample, move = sample_popov_mask, popov_masked_step
+    else:
+        sample, move = sample_ejs_picks, ejs_masked_step
     rng = make_rng(config.seed)
+    state = config.initial
     counts: dict[Partition, int] = {}
-    path = [config.initial] if record_path else None
-    for step_index, state in enumerate(_chain_states(config, rng)):
+    path = [state] if record_path else None
+    for step_index in range(config.burn_in + config.samples):
+        state = move(state, sample(rng, state, config.p))
         if record_path:
             path.append(state)
         if step_index >= config.burn_in:

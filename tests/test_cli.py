@@ -232,6 +232,22 @@ def test_cli_graph_austrian_needs_positive_L(capsys):
     assert run_cli(capsys, "graph", "--n", "5", "--variant", "austrian", "--L", "2")[0] == 0
 
 
+def test_cli_graph_n_0(capsys):
+    # the empty partition is the one state of the Bulgarian and Austrian
+    # games; the dual move needs a pile to deal out, and compositions start at 1
+    for argv in (("--variant", "bulgarian"), ("--variant", "austrian", "--L", "2")):
+        code, out, err = run_cli(capsys, "graph", "--n", "0", "--format", "json", *argv)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["state_count"] == 1
+    for variant in ("dual", "carolina", "montreal"):
+        code, out, err = run_cli(capsys, "graph", "--n", "0", "--variant", variant)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_cli_ge(capsys):
     code, out, _ = run_cli(capsys, "ge", "--n", "10")
     assert code == 0
@@ -241,6 +257,10 @@ def test_cli_ge(capsys):
     assert "2,2,2,2,2" in lines
     for n in ("1", "2"):  # no Garden of Eden state below n = 3
         assert run_cli(capsys, "ge", "--n", n)[:2] == (0, "")
+    for n in range(12):  # the JSON list reads as json.dumps writes it, [] below n = 3
+        ge = [list(lam) for lam in enumerate_partitions(n) if lam and lam[0] < len(lam) - 1]
+        code, out, _ = run_cli(capsys, "ge", "--n", str(n), "--format", "json")
+        assert (code, out) == (0, json.dumps(ge, indent=2) + "\n")
 
 
 def test_cli_necklaces(capsys):

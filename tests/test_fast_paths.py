@@ -5,24 +5,40 @@ state-by-state implementations, kept verbatim as references.  Results are
 compared with ==, floats included, because the arithmetic is the same
 integer total divided by the same n; a ValueError must be raised by both
 or by neither, with the same message.  The JSON and DOT writers are
-compared with json.dumps and the old DOT loop.  The exhaustive commands'
-stdout is pinned by SHA-256.
+compared with json.dumps and the old DOT loop.  Where a primitive had two
+copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
+Montreal recursion), the copy that was folded away is the oracle for the
+one that stayed.  The exhaustive commands' stdout is pinned by SHA-256.
 """
 
 import hashlib
 import json
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bsol.dynamics
+import bsol.stochastic
 from bsol.cli import main
 from bsol.dynamics import (
+    CycleWitness,
+    ReachabilityReport,
+    StepBoundError,
+    ToomReport,
+    _explore,
+    _garden_of_eden,
     _knuth_check,
     _state_json_writer,
     analyze_state_space,
+    default_step_bound,
+    ge_reachability_check,
+    get_variant,
     knuth_exponent_check,
+    orbit,
     state_to_jsonable,
+    toom_path,
 )
 from bsol.operators import (
     AustrianState,
@@ -33,6 +49,8 @@ from bsol.operators import (
     popov_masked_step,
 )
 from bsol.partitions import (
+    conjugate,
+    enumerate_montreal_compositions,
     enumerate_partitions,
     format_parts,
     normalize,
@@ -40,7 +58,14 @@ from bsol.partitions import (
     staircase,
     triangular_decompose,
 )
-from bsol.stochastic import ChainConfig, run_chain, staircase_distance
+from bsol.stochastic import (
+    ChainConfig,
+    make_rng,
+    run_chain,
+    sample_ejs_picks,
+    sample_popov_mask,
+    staircase_distance,
+)
 
 
 # --- reference oracles ---
@@ -189,6 +214,112 @@ def knuth_witnesses_oracle(k, exponent):
         if x != sigma:
             bad.append(lam)
     return tuple(bad)
+
+
+def normalize_oracle(raw):
+    parts = sorted(raw, reverse=True)
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    return tuple(p for p in parts if p > 0)
+
+
+def settle_oracle(parts):
+    parts.sort(reverse=True)
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts)
+
+
+def montreal_oracle(n, max_len=None):
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    limit = n if max_len is None else max_len
+    for length in range(1, limit + 1):
+        yield from montreal_fixed_length_oracle(n, length)
+
+
+def montreal_fixed_length_oracle(n, length):
+    if length == 1:
+        if n >= 1:
+            yield (n,)
+        return
+    for first in range(n - 1, 0, -1):
+        for rest in montreal_tail_oracle(n - first, length - 1):
+            yield (first,) + rest
+
+
+def montreal_tail_oracle(n, length):
+    if length == 1:
+        if n >= 1:
+            yield (n,)
+        return
+    for v in range(n, -1, -1):
+        for rest in montreal_tail_oracle(n - v, length - 1):
+            yield (v,) + rest
+
+
+def toom_path_oracle(k):
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    tau = (k - 1,) + staircase(k - 1) + (1,)
+    sigma = staircase(k)
+    expected = k * (k - 1)
+    path = [tau]
+    bound = default_step_bound(tau)
+    while path[-1] != sigma:
+        path.append(bulgarian_step(path[-1]))
+        if len(path) > bound:
+            raise StepBoundError(f"staircase not reached from {tau} within {bound} steps")
+    s = len(path) - 1
+    conjugacy = s == expected and all(
+        path[i] == conjugate(path[s - i - 1]) for i in range(s)
+    )
+    return ToomReport(k, tau, s, expected, conjugacy, tuple(path))
+
+
+def ge_counter_oracle(succ):
+    indeg = Counter(succ.values())
+    return tuple(sorted(s for s in succ if indeg[s] == 0))
+
+
+def ge_reachability_oracle(n):
+    seeds = list(enumerate_partitions(n))
+    succ, _, comp_of, cycles = _explore(seeds, bulgarian_step)
+    indeg = Counter(succ.values())
+    ge_by_comp = {}
+    for s in seeds:
+        if indeg[s] == 0:
+            key = comp_of[s]
+            if key not in ge_by_comp or s < ge_by_comp[key]:
+                ge_by_comp[key] = s
+    witnesses = []
+    holds = True
+    for key in sorted(cycles):
+        ge = ge_by_comp.get(key)
+        if ge is None:
+            holds = False
+            witnesses.append(CycleWitness(cycles[key], None, ()))
+        else:
+            witnesses.append(CycleWitness(cycles[key], ge, orbit(ge, bulgarian_step).path))
+    return ReachabilityReport(n, holds, tuple(witnesses))
+
+
+def chain_tally_oracle(config):
+    """visit_counts and the recorded path of the per-move branching loop."""
+    rng = make_rng(config.seed)
+    state = config.initial
+    counts, path = {}, [state]
+    for step_index in range(config.burn_in + config.samples):
+        if config.variant == "popov":
+            state = popov_masked_step(state, sample_popov_mask(rng, state, config.p))
+        else:
+            state = ejs_masked_step(state, sample_ejs_picks(rng, state, config.p))
+        path.append(state)
+        if step_index >= config.burn_in:
+            counts[state] = counts.get(state, 0) + 1
+    return counts, tuple(path)
 
 
 def outcome(fn, *args):
@@ -362,6 +493,102 @@ def test_format_parts_matches_str_join(parts):
     assert format_parts(parts) == format_parts_oracle(parts)
 
 
+# --- one copy of each primitive ---
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-3, 300)), max_size=20))
+def test_normalize_matches_both_old_normalisers(raw):
+    before = list(raw)
+    result = outcome(normalize, raw)
+    assert result == outcome(normalize_oracle, raw) == outcome(settle_oracle, list(raw))
+    assert outcome(normalize, tuple(raw)) == result
+    assert raw == before  # normalize sorts a copy
+
+
+def same_stream(xs, ys):
+    """Equal items in equal order, compared one pair at a time."""
+    return all(x == y for x, y in zip_longest(xs, ys))
+
+
+def test_montreal_enumeration_matches_two_function_recursion():
+    # the lengths come in ascending order, so the output under a smaller
+    # max_len is a prefix of the output under max_len = n + 1; up to n = 12
+    # (1.35M compositions) that longest run is compared, every cap up to 9
+    for n in range(1, 13):
+        assert same_stream(enumerate_montreal_compositions(n, max_len=n + 1),
+                           montreal_oracle(n, n + 1))
+    for n in range(1, 10):
+        assert same_stream(enumerate_montreal_compositions(n), montreal_oracle(n))
+        for max_len in range(1, n + 1):
+            assert same_stream(enumerate_montreal_compositions(n, max_len=max_len),
+                               montreal_oracle(n, max_len))
+
+
+def test_toom_path_matches_its_own_step_loop():
+    for k in range(2, 13):
+        assert toom_path(k) == toom_path_oracle(k)
+    for k in (1, 0, -2):
+        assert outcome(toom_path, k) == outcome(toom_path_oracle, k)
+
+
+ENUMERABLE = [
+    *[("bulgarian", n, None) for n in range(11)],
+    *[("dual", n, None) for n in range(1, 11)],
+    *[("carolina", n, None) for n in range(1, 11)],
+    *[("montreal", n, None) for n in range(1, 11)],
+    *[("austrian", n, L) for L in range(1, 5) for n in range(11)],
+]
+
+
+@pytest.mark.parametrize("variant, n, L", ENUMERABLE)
+def test_ge_rule_matches_counter_pass(variant, n, L):
+    game = get_variant(variant, L=L)
+    succ = _explore(list(game.enumerate_states(n, None)), game.step)[0]
+    expected = ge_counter_oracle(succ)
+    assert tuple(_garden_of_eden(succ)) == expected
+    assert analyze_state_space(n, variant, L=L).ge_states == expected
+
+
+def test_ge_reachability_matches_counter_pass():
+    for n in range(3, 15):
+        assert ge_reachability_check(n) == ge_reachability_oracle(n)
+
+
+@pytest.mark.parametrize("variant", ["popov", "ejs"])
+@pytest.mark.parametrize("burn_in, samples", [(0, 60), (25, 0), (0, 0), (15, 40)])
+def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples):
+    config = ChainConfig(12, variant, 0.6, seed=burn_in + samples, burn_in=burn_in,
+                         samples=samples)
+    counts, path = chain_tally_oracle(config)
+    stats = run_chain(config, record_path=True)
+    assert list(stats.visit_counts.items()) == list(counts.items())  # insertion order too
+    assert stats.path == path
+
+
+def test_hot_calls_go_through_the_module_globals(monkeypatch):
+    # the benchmark's tracer counts these calls by patching the module globals
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in [(bsol.dynamics, "bulgarian_step"),
+                         (bsol.stochastic, "sample_popov_mask"),
+                         (bsol.stochastic, "sample_ejs_picks"),
+                         (bsol.stochastic, "popov_masked_step"),
+                         (bsol.stochastic, "ejs_masked_step")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    toom_path(5)
+    assert calls["bulgarian_step"] == 5 * 4 + 1  # the last step repeats the staircase
+    run_chain(ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7))
+    run_chain(ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4))
+    assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
+    assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
+
+
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
 # check moved onto the explorer and enumeration onto ZS1.
 GOLDEN_EXHAUSTIVE = [
@@ -388,7 +615,20 @@ GOLDEN_WRITERS = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS)
+# recorded before the second normaliser, Toom walk, GE pass, chain loop and
+# Montreal recursion were folded into the first, and before `ge --format
+# json` stopped going through json's indenting encoder
+GOLDEN_ONE_COPY = [
+    (("toom", "--k", "8"),
+     "2838861484ce1ac2bf687d9110fb809747692719a40f2976af4138418910d324"),
+    (("ge", "--n", "20", "--format", "json"),
+     "104cae72afdfbac4596d348a762b9d53ab63562df9b911dabda7bedc0a36e3e4"),
+    (("graph", "--variant", "montreal", "--n", "8", "--format", "json"),
+     "d3cbd4f0e701f6d1a472a3cf839757a27c1bc1025c9c45fef60b55c3247907b7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
