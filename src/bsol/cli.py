@@ -17,6 +17,8 @@ from math import comb
 from typing import Iterator
 
 from .dynamics import (
+    _NL,
+    _SEP,
     StepBoundError,
     analyze_state_space,
     garden_of_eden_test,
@@ -30,6 +32,7 @@ from .dynamics import (
 from .necklaces import list_necklaces, necklace_count, partition_count
 from .operators import AustrianState, PointerState
 from .partitions import (
+    PARTITION_ENUM_BOUND,
     EnumerationBoundError,
     Partition,
     enumerate_partitions,
@@ -93,7 +96,7 @@ def render_young(lam: Partition, style: str = "rows") -> str:
 def _bounded_partition_count(n: int, cap: int) -> int:
     # partitions of n with parts <= cap
     table = [1] + [0] * n
-    for part in range(1, cap + 1):
+    for part in range(1, min(cap, n) + 1):
         for m in range(part, n + 1):
             table[m] += table[m - part]
     return table[n]
@@ -133,6 +136,18 @@ def _state_limit(args) -> int:
 def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
+    if variant in ("carolina", "montreal") and n - 1 >= limit.bit_length():
+        # both strata hold all 2^(n-1) compositions of n: refuse before counting
+        raise EnumerationBoundError(
+            f"state space of {variant} at n={n} has at least 2^{n - 1} states, "
+            f"over the limit {limit}"
+        )
+    if variant == "austrian" and n > PARTITION_ENUM_BOUND:
+        # a small L leaves few states, but each one holds up to n piles
+        raise EnumerationBoundError(
+            f"austrian states at n={n} hold up to {n} piles, "
+            f"over the enumeration bound n={PARTITION_ENUM_BOUND}"
+        )
     try:  # what _space_size still refuses is a count past its bound
         size = _space_size(variant, n, L)
     except ValueError as exc:
@@ -185,7 +200,7 @@ def _cmd_graph(args) -> int:
         max_n=args.n,
     )
     if args.format == "json":
-        print(summary.to_json(indent=2))
+        print(summary.to_json())
     elif args.format == "dot":
         print(summary.to_dot())
     else:
@@ -217,11 +232,11 @@ def _cmd_ge(args) -> int:
 def _json_list_of_parts(states) -> Iterator[str]:
     """print(json.dumps([list(s) for s in states], indent=2)) for nonempty
     states, a state at a time: json's indenting encoder holds it all."""
-    sep = "[\n  "
+    sep = "[" + _NL[1]
     for lam in states:
-        yield sep + "[\n    " + join_parts(lam, ",\n    ") + "\n  ]"
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
+        yield sep + "[" + _NL[2] + join_parts(lam, _SEP[2]) + _NL[1] + "]"
+        sep = _SEP[1]
+    yield "\n]\n" if sep == _SEP[1] else "[]\n"
 
 
 def _cmd_necklaces(args) -> int:
@@ -284,7 +299,7 @@ def _cmd_simulate(args) -> int:
     )
     stats = run_chain(config)
     if args.format == "json":
-        print(stats.to_json(indent=2))
+        print(stats.to_json())
     elif args.format == "csv":
         sys.stdout.write(stats.mean_shape_csv())
     else:

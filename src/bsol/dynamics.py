@@ -61,55 +61,44 @@ def state_to_jsonable(state: State) -> dict:
     return state.to_jsonable()
 
 
-def _breaks(indent: int | str | None, depth: int) -> tuple[str, str, str, str, str]:
-    """The line breaks json.dumps(..., indent=indent) writes at depth,
-    depth + 1 and depth + 2, and its member separators at the two deeper
-    levels; without an indent there are no breaks."""
-    if indent is None:
-        return "", "", "", ", ", ", "
-    pad = indent if isinstance(indent, str) else " " * indent
-    nl0 = "\n" + pad * depth
-    return nl0, nl0 + pad, nl0 + 2 * pad, "," + nl0 + pad, "," + nl0 + 2 * pad
+# bsol writes one JSON layout, that of json.dumps(..., indent=2): _NL[d]
+# starts a line d levels down and _SEP[d] separates two members there.
+_NL = tuple("\n" + "  " * depth for depth in range(5))
+_SEP = tuple("," + nl for nl in _NL)
+
+# a nonempty partition's object two levels down, around its parts and n
+_STATE_HEAD = "{" + _NL[3] + '"parts": [' + _NL[4]
+_STATE_SEP = _SEP[4]
+_STATE_MID = _NL[3] + "]" + _SEP[3] + '"n": '
+_STATE_TAIL = _NL[2] + "}"
 
 
-def _state_json_writer(indent: int | str | None, depth: int) -> Callable[[State], str]:
-    """Render json.dumps(state_to_jsonable(state), indent=indent) as it
-    reads nested depth levels down a document.
+def _state_json(state: State) -> str:
+    """json.dumps(state_to_jsonable(state), indent=2) as it reads two
+    levels down a document.
 
-    Nonempty tuples fill a template of parts_to_json's object with the
-    parts' texts.  Other states go through json.dumps, re-indented at every
-    newline: json escapes newlines inside strings, so each raw one starts a
-    line.
+    Nonempty tuples fill the template above with the parts' texts.  Other
+    states go through json.dumps, re-indented at every newline: json
+    escapes newlines inside strings, so each raw one starts a line.
     """
-    nl0, nl1, nl2, sep1, sep2 = _breaks(indent, depth)
-    head = f'{{{nl1}"parts": [{nl2}'
-    mid = f'{nl1}]{sep1}"n": '
-    tail = nl0 + "}"
-
-    def render(state: State) -> str:
-        if isinstance(state, tuple) and state:
-            return f"{head}{join_parts(state, sep2)}{mid}{sum(state)}{tail}"
-        return json.dumps(state_to_jsonable(state), indent=indent).replace("\n", nl0)
-
-    return render
+    if isinstance(state, tuple) and state:
+        return f"{_STATE_HEAD}{join_parts(state, _STATE_SEP)}{_STATE_MID}{sum(state)}{_STATE_TAIL}"
+    return json.dumps(state_to_jsonable(state), indent=2).replace("\n", _NL[2])
 
 
-def dumps_with_bulk(
-    head: dict, key: str, brackets: str, members: Iterable[str], indent: int | str | None
-) -> str:
-    """json.dumps({**head, key: value}, indent=indent) for a large list or
-    dict value whose members come already rendered, two levels down.
+def dumps_with_bulk(head: dict, key: str, brackets: str, members: Iterable[str]) -> str:
+    """json.dumps({**head, key: value}, indent=2) for a large list or dict
+    value whose members come already rendered, two levels down.
 
     json uses its C encoder only without an indent; with one it falls back
     to a pure-Python encoder that also holds every fragment until the end.
     Here only the small head goes through json.  brackets is "[]" or "{}",
     and a dict member is its '"key": value' text.
     """
-    text = json.dumps(head, indent=indent)
-    nl0, nl1, nl2, sep1, sep2 = _breaks(indent, 0)
-    body = sep2.join(members)
-    opening, closing = (brackets[0] + nl2, nl1 + brackets[1]) if body else (brackets, "")
-    return f"{text[:-len(nl0) - 1]}{sep1}{json.dumps(key)}: {opening}{body}{closing}{nl0}}}"
+    text = json.dumps(head, indent=2).removesuffix("\n}")
+    body = _SEP[2].join(members)
+    opening, closing = (brackets[0] + _NL[2], _NL[1] + brackets[1]) if body else (brackets, "")
+    return f"{text}{_SEP[1]}{json.dumps(key)}: {opening}{body}{closing}\n}}"
 
 
 def state_label(state: State) -> str:
@@ -331,7 +320,7 @@ class GraphSummary:
     def cycle_lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         head = {
             "n": self.n,
             "variant": self.variant,
@@ -340,8 +329,7 @@ class GraphSummary:
             "max_tail": self.max_tail,
             "cycles": [[state_to_jsonable(s) for s in cyc] for cyc in self.cycles],
         }
-        ge = map(_state_json_writer(indent, 2), self.ge_states)
-        return dumps_with_bulk(head, "ge_states", "[]", ge, indent)
+        return dumps_with_bulk(head, "ge_states", "[]", map(_state_json, self.ge_states))
 
     def to_dot(self) -> str:
         """DOT digraph with one edge per state; GE nodes are marked."""

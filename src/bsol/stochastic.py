@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import dumps_with_bulk
 from .operators import ejs_masked_step, popov_masked_step
@@ -27,6 +26,9 @@ from .partitions import (
     triangular_decompose,
 )
 
+if TYPE_CHECKING:  # numpy loads only when a chain runs or a profile is fitted
+    import numpy as np
+
 #: Generator identity; recorded in every ChainStats for reproducibility.
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -34,6 +36,8 @@ VARIANTS = ("popov", "ejs")
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -128,7 +132,7 @@ class ChainStats:
     rng_algorithm: str = RNG_ALGORITHM
     path: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         head = {
             "config": self.config.to_jsonable(),
             "rng_algorithm": self.rng_algorithm,
@@ -142,7 +146,7 @@ class ChainStats:
         counts = (
             f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
         )
-        return dumps_with_bulk(head, "visit_counts", "{}", counts, indent)
+        return dumps_with_bulk(head, "visit_counts", "{}", counts)
 
     def mean_shape_csv(self) -> str:
         lines = ["index,mean_part"]
@@ -238,6 +242,8 @@ def shape_profile(stats: ChainStats) -> ShapeProfile:
     """
     if not stats.mean_shape:
         raise ValueError("chain recorded no samples")
+    import numpy as np
+
     y = np.asarray(stats.mean_shape, dtype=float)
     x = np.arange(1, len(y) + 1, dtype=float)
     keep = y > 0

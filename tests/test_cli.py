@@ -1,10 +1,25 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bsol.cli
 from bsol.operators import AustrianState, PointerState
-from bsol.partitions import enumerate_compositions, enumerate_montreal_compositions, enumerate_partitions, format_parts
-from bsol.cli import main, parse_state, render_young
+from bsol.partitions import (
+    EnumerationBoundError,
+    enumerate_compositions,
+    enumerate_montreal_compositions,
+    enumerate_partitions,
+    format_parts,
+)
+from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, _space_size, main, parse_state, render_young
 
 
 def run_cli(capsys, *argv):
@@ -330,3 +345,113 @@ def test_cli_render(capsys):
     code, out, _ = run_cli(capsys, "render", "--state", "3,2,1", "--style", "cradle")
     assert code == 0
     assert out.count("#") == 6
+
+
+# --- the size guard's own work ---
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "carolina", "--n", "100000"),
+    ("--variant", "montreal", "--n", "20000"),
+    ("--variant", "austrian", "--n", "1500000", "--L", "2"),
+    ("--variant", "austrian", "--n", "81", "--L", "2"),
+])
+def test_cli_graph_guard_refuses_huge_spaces_at_once(capsys, monkeypatch, argv):
+    # both composition strata hold all 2^(n-1) compositions, so the guard
+    # refuses without counting them; an Austrian state holds up to n piles,
+    # so n keeps the partition enumeration bound however few states there are
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the guard let the enumeration start")
+
+    monkeypatch.setattr(bsol.cli, "analyze_state_space", enumerated)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digits" not in err
+
+
+def test_cli_guard_sizes_a_huge_lifetime_at_once():
+    start = time.perf_counter()
+    assert _space_size("austrian", 12, 10**12) == _space_size("austrian", 12, 13)
+    _check_space("austrian", 40, 10**12, DEFAULT_STATE_LIMIT)
+    with pytest.raises(EnumerationBoundError, match="2\\^21 states"):
+        _check_space("carolina", 22, None, DEFAULT_STATE_LIMIT)
+    assert time.perf_counter() - start < 1
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    script = (
+        "import sys, bsol.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert callable(bsol.cli.run_chain) and callable(bsol.cli.shape_profile)\n"
+    )
+    src = str(Path(bsol.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+# --- every subcommand, any argument vector ---
+
+MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "--", "0x3", "7,"])
+SMALL = st.one_of(st.integers(-3, 12).map(str), MALFORMED)
+HUGE = st.sampled_from(["100000", "1500000", str(10**12)])  # refused by the guard
+STATES = st.one_of(
+    st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(lambda p: ",".join(map(str, p))),
+    MALFORMED,
+)
+FRACTIONS = st.sampled_from(["0", "0.25", "0.5", "1", "1.0", "-0.5", "1.5", "nan", "inf", "x"])
+
+
+def _argv(command, required, **optional):
+    """argv for one subcommand: every required flag and any of the optional
+    ones.  A None value is a bare switch; flag names take dashes."""
+    def flags(chosen):
+        argv = [command]
+        for name, value in chosen.items():
+            argv.append("--" + name.replace("_", "-"))
+            if value is not None:
+                argv.append(value)
+        return argv
+
+    return st.fixed_dictionaries(required, optional=optional).map(flags)
+
+
+def _choice(*values):
+    return st.sampled_from([*values, "bogus"])
+
+
+ARGV = st.one_of(
+    _argv("orbit", {"state": STATES},
+          variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian",
+                          "servedio_yeh", "janetzko"),
+          L=SMALL, bank=SMALL, pointer=SMALL, step_bound=SMALL, format=_choice("text", "json")),
+    _argv("graph", {"n": st.one_of(st.integers(-3, 9).map(str), MALFORMED, HUGE)},
+          variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian"),
+          L=st.one_of(SMALL, HUGE), limit=SMALL, format=_choice("text", "json", "dot")),
+    _argv("ge", {"n": st.one_of(SMALL, HUGE)}, limit=SMALL, format=_choice("text", "json")),
+    _argv("necklaces", {"n": SMALL}, list=st.none(), limit=SMALL,
+          format=_choice("text", "json")),
+    _argv("knuth", {"k": st.one_of(st.integers(-3, 4).map(str), MALFORMED, HUGE)},
+          limit=SMALL),
+    _argv("toom", {"k": SMALL}),
+    _argv("simulate", {"variant": _choice("popov", "ejs"), "n": SMALL, "p": FRACTIONS,
+                       "seed": SMALL},
+          burn_in=SMALL, samples=SMALL, initial=STATES, format=_choice("text", "json", "csv")),
+    _argv("render", {"state": STATES}, style=_choice("rows", "cradle")),
+    st.lists(st.sampled_from(["bogus", "graph", "--help", "--n", "3"]), max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGV)
+def test_cli_exit_code_contract_holds_for_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code in (3, 4):
+        assert err.getvalue().startswith("error: ")
