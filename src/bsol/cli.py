@@ -32,7 +32,6 @@ from .dynamics import (
 from .necklaces import list_necklaces, necklace_count, partition_count
 from .operators import AustrianState, PointerState
 from .partitions import (
-    PARTITION_ENUM_BOUND,
     EnumerationBoundError,
     Partition,
     enumerate_partitions,
@@ -45,6 +44,10 @@ from .partitions import (
 from .stochastic import ChainConfig, run_chain, shape_profile
 
 DEFAULT_STATE_LIMIT = 2_000_000
+AUSTRIAN_N_BOUND = 80
+# 2^k bounds the necklace count; past this k it could print over CPython's
+# default limit of 4,300 digits for int-to-str conversion
+NECKLACE_K_BOUND = 14_284
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
 
@@ -142,11 +145,11 @@ def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
             f"state space of {variant} at n={n} has at least 2^{n - 1} states, "
             f"over the limit {limit}"
         )
-    if variant == "austrian" and n > PARTITION_ENUM_BOUND:
+    if variant == "austrian" and n > AUSTRIAN_N_BOUND:
         # a small L leaves few states, but each one holds up to n piles
         raise EnumerationBoundError(
             f"austrian states at n={n} hold up to {n} piles, "
-            f"over the enumeration bound n={PARTITION_ENUM_BOUND}"
+            f"over the enumeration bound n={AUSTRIAN_N_BOUND}"
         )
     try:  # what _space_size still refuses is a count past its bound
         size = _space_size(variant, n, L)
@@ -192,13 +195,7 @@ def _cmd_graph(args) -> int:
     L = args.L if args.variant == "austrian" else None
     get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
     _check_space(args.variant, args.n, L, _state_limit(args))
-    summary = analyze_state_space(
-        args.n,
-        args.variant,
-        L=L,
-        keep_edges=args.format == "dot",
-        max_n=args.n,
-    )
+    summary = analyze_state_space(args.n, args.variant, L=L, keep_edges=args.format == "dot")
     if args.format == "json":
         print(summary.to_json())
     elif args.format == "dot":
@@ -219,7 +216,7 @@ def _cmd_ge(args) -> int:
     _check_space("bulgarian", args.n, None, _state_limit(args))
     ge = (
         lam
-        for lam in enumerate_partitions(args.n, max_n=args.n)
+        for lam in enumerate_partitions(args.n)
         if lam and garden_of_eden_test(lam)
     )
     if args.format == "json":
@@ -241,6 +238,11 @@ def _json_list_of_parts(states) -> Iterator[str]:
 
 def _cmd_necklaces(args) -> int:
     k, r = triangular_decompose(args.n)
+    if k > NECKLACE_K_BOUND:
+        raise EnumerationBoundError(
+            f"necklaces at n={args.n} have k={k} beads, "
+            f"over the bound k={NECKLACE_K_BOUND}"
+        )
     count = necklace_count(args.n)
     necklaces = None
     if args.list:
@@ -267,7 +269,7 @@ def _cmd_necklaces(args) -> int:
 def _cmd_knuth(args) -> int:
     n = args.k * (args.k + 1) // 2
     _check_space("bulgarian", n, None, _state_limit(args))
-    report = knuth_exponent_check(args.k, max_n=n)
+    report = knuth_exponent_check(args.k)
     verdict = "holds" if report.holds else "FAILS"
     print(
         f"k={report.k}: B^{report.exponent} reaches the staircase on all "
@@ -297,6 +299,11 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
         initial=initial,
     )
+    moves, limit = config.burn_in + config.samples, _state_limit(args)
+    if moves > limit:  # each move visits one state
+        raise EnumerationBoundError(
+            f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
+        )
     stats = run_chain(config)
     if args.format == "json":
         print(stats.to_json())

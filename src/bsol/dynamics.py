@@ -194,29 +194,17 @@ class Variant:
     name: str
     step: StepFn
     state_kind: str
-    enumerate_states: Callable[[int, int | None], Iterator[State]] | None = None
+    enumerate_states: Callable[[int], Iterator[State]] | None = None
 
     @property
     def enumerable(self) -> bool:
         return self.enumerate_states is not None
 
 
-def _enum_partitions(n: int, max_n: int | None) -> Iterator[State]:
-    return enumerate_partitions(n, max_n=max_n)
-
-
-def _enum_compositions(n: int, max_n: int | None) -> Iterator[State]:
-    return enumerate_compositions(n, max_n=max_n)
-
-
-def _enum_montreal(n: int, max_n: int | None) -> Iterator[State]:
-    return enumerate_montreal_compositions(n)
-
-
 def _make_austrian_enum(L: int):
-    def enum(n: int, max_n: int | None) -> Iterator[State]:
+    def enum(n: int) -> Iterator[State]:
         for bank in range(min(L - 1, n) + 1):
-            for piles in enumerate_partitions(n - bank, max_part=L, max_n=max_n):
+            for piles in enumerate_partitions(n - bank, max_part=L):
                 yield AustrianState(piles, bank, L)
 
     return enum
@@ -236,10 +224,12 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             raise ValueError(f"machine lifetime must be positive, got {L}")
         return Variant("austrian", austrian_step, "austrian", _make_austrian_enum(L))
     fixed = {
-        "bulgarian": Variant("bulgarian", bulgarian_step, "partition", _enum_partitions),
-        "dual": Variant("dual", dual_step, "partition", _enum_partitions),
-        "carolina": Variant("carolina", carolina_step, "strict", _enum_compositions),
-        "montreal": Variant("montreal", montreal_step, "montreal", _enum_montreal),
+        "bulgarian": Variant("bulgarian", bulgarian_step, "partition", enumerate_partitions),
+        "dual": Variant("dual", dual_step, "partition", enumerate_partitions),
+        "carolina": Variant("carolina", carolina_step, "strict", enumerate_compositions),
+        "montreal": Variant(
+            "montreal", montreal_step, "montreal", enumerate_montreal_compositions
+        ),
         "servedio_yeh": Variant("servedio_yeh", servedio_yeh_step, "circular"),
         "janetzko": Variant("janetzko", janetzko_step, "pointer"),
         "multiplayer": Variant("multiplayer", multiplayer_step, "multiplayer"),
@@ -348,7 +338,6 @@ def analyze_state_space(
     *,
     L: int | None = None,
     keep_edges: bool = False,
-    max_n: int | None = None,
 ) -> GraphSummary:
     """Exhaustively analyze every state of total n under one variant.
 
@@ -359,7 +348,7 @@ def analyze_state_space(
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    seeds = list(game.enumerate_states(n, max_n))
+    seeds = list(game.enumerate_states(n))
     succ, dist, _, cycles = _explore(seeds, game.step)
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
@@ -400,7 +389,7 @@ class KnuthReport:
         return not self.witnesses
 
 
-def knuth_exponent_check(k: int, *, max_n: int | None = None) -> KnuthReport:
+def knuth_exponent_check(k: int) -> KnuthReport:
     """Check that B^(k(k-1)) sends every partition of k(k+1)/2 to the staircase.
 
     Every partition is stepped once: the memoised explorer gives each its
@@ -410,15 +399,15 @@ def knuth_exponent_check(k: int, *, max_n: int | None = None) -> KnuthReport:
     at most the exponent.  Memory is O(p(n)), as for analyze_state_space.
     Witnesses come in enumeration order.
     """
-    return _knuth_check(k, k * (k - 1), max_n=max_n)
+    return _knuth_check(k, k * (k - 1))
 
 
-def _knuth_check(k: int, exponent: int, *, max_n: int | None = None) -> KnuthReport:
+def _knuth_check(k: int, exponent: int) -> KnuthReport:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    seeds = list(enumerate_partitions(n, max_n=max_n))
+    seeds = list(enumerate_partitions(n))
     _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
     bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
     return KnuthReport(k, n, exponent, len(seeds), bad)
@@ -475,13 +464,13 @@ class ReachabilityReport:
     witnesses: tuple[CycleWitness, ...]
 
 
-def ge_reachability_check(n: int, *, max_n: int | None = None) -> ReachabilityReport:
+def ge_reachability_check(n: int) -> ReachabilityReport:
     """Verify every cycle of the Bulgarian graph is entered by some
     Garden of Eden orbit.  Defined for n >= 3: the two smallest card
     counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    seeds = list(enumerate_partitions(n, max_n=max_n))
+    seeds = list(enumerate_partitions(n))
     succ, _, comp_of, cycles = _explore(seeds, bulgarian_step)
     ge_by_comp: dict = {}
     for s in _garden_of_eden(succ):  # ascending, so each component keeps its smallest

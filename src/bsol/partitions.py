@@ -16,14 +16,12 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 
-# Default ceilings for exhaustive enumeration.  p(80) ~ 1.5e7 is a practical
-# desk limit; strict compositions double with every extra card.
-PARTITION_ENUM_BOUND = 80
-COMPOSITION_ENUM_BOUND = 20
-
-
 class EnumerationBoundError(RuntimeError):
-    """The requested state space exceeds the configured enumeration bound."""
+    """The requested state space exceeds the CLI's size guard.
+
+    The enumerators here are lazy and unbounded; the command-line front end
+    sizes each request first and raises this when it is too big.
+    """
 
 
 def normalize(raw: Iterable[int]) -> Partition:
@@ -85,24 +83,17 @@ def potential_energy(lam: Partition) -> int:
     return total
 
 
-def enumerate_partitions(
-    n: int, *, max_part: int | None = None, max_n: int | None = None
-) -> Iterator[Partition]:
+def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in reverse-lexicographic order.
 
-    max_part restricts all parts to at most that value.  Enumeration is
-    refused above the configured bound (default PARTITION_ENUM_BOUND);
-    pass max_n explicitly to lift it.
+    max_part restricts all parts to at most that value.
 
     This is Zoghbi and Stojmenovic's ZS1: every slot past the current parts
     already holds a 1 and h marks the last part above 1, so a step touches
     only the parts it changes and never rescans trailing 1s.
     """
-    bound = PARTITION_ENUM_BOUND if max_n is None else max_n
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > bound:
-        raise EnumerationBoundError(f"n={n} exceeds the enumeration bound {bound}")
     if n == 0:
         yield ()
         return
@@ -141,13 +132,10 @@ def enumerate_partitions(
         yield tuple(x[:m])
 
 
-def enumerate_compositions(n: int, *, max_n: int | None = None) -> Iterator[Composition]:
+def enumerate_compositions(n: int) -> Iterator[Composition]:
     """Yield every composition of n into positive parts (2^(n-1) of them)."""
-    bound = COMPOSITION_ENUM_BOUND if max_n is None else max_n
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > bound:
-        raise EnumerationBoundError(f"n={n} exceeds the enumeration bound {bound}")
     yield from _compositions(n)
 
 

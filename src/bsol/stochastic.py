@@ -216,21 +216,6 @@ class ShapeProfile:
     def better(self) -> str:
         return "linear" if self.linear_residual <= self.exponential_residual else "exponential"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "linear": {
-                "slope": self.linear_slope,
-                "intercept": self.linear_intercept,
-                "residual": self.linear_residual,
-            },
-            "exponential": {
-                "amplitude": self.exponential_amplitude,
-                "rate": self.exponential_rate,
-                "residual": self.exponential_residual,
-            },
-            "better": self.better,
-        }
-
 
 def shape_profile(stats: ChainStats) -> ShapeProfile:
     """Fit the mean shape with a straight line and with an exponential.

@@ -286,6 +286,30 @@ def test_cli_necklaces(capsys):
     assert "BWBWW" in out and "BBWWW" in out
 
 
+@pytest.mark.parametrize("n", [10**9, 10**12, 10**14, 10**18, 102023471])
+def test_cli_necklaces_guard_refuses_huge_counts_at_once(capsys, monkeypatch, n):
+    # the count is below 2^k, and past k = 14284 it could print more digits
+    # than CPython converts by default
+    def counted(*args):
+        raise AssertionError("the guard let the count start")
+
+    monkeypatch.setattr(bsol.cli, "necklace_count", counted)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "necklaces", "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digits" not in err
+
+
+def test_cli_necklaces_prints_the_largest_count_under_the_guard(capsys):
+    # k = 14284 is the last k the guard lets through, and r = k/2 its largest count
+    code, out, _ = run_cli(capsys, "necklaces", "--n", "102016328")
+    head = "n=102016328: k=14284, r=7142, components="
+    assert code == 0 and out.startswith(head)
+    assert 4250 < len(out.strip()) - len(head) <= 4300
+
+
 # --- knuth / toom commands ---
 
 def test_cli_knuth(capsys):
@@ -329,6 +353,31 @@ def test_cli_simulate_text(capsys):
     assert code == 0
     assert "mean staircase distance" in out
     assert "residual" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "popov", "--n", "100000"),
+    ("--variant", "ejs", "--n", "10", "--samples", "1000000000"),
+])
+def test_cli_simulate_guard_refuses_long_chains_at_once(capsys, monkeypatch, argv):
+    def ran(*args, **kwargs):
+        raise AssertionError("the guard let the chain start")
+
+    monkeypatch.setattr(bsol.cli, "run_chain", ran)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", *argv, "--p", "0.5", "--seed", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_simulate_guard_counts_every_move_against_the_env_limit(capsys, monkeypatch):
+    monkeypatch.setenv("BSOL_MAX_STATES", "100")
+    argv = ("simulate", "--variant", "popov", "--n", "6", "--p", "0.5", "--seed", "1")
+    assert run_cli(capsys, *argv, "--burn-in", "50", "--samples", "50")[0] == 0
+    code, _, err = run_cli(capsys, *argv, "--burn-in", "50", "--samples", "51")
+    assert code == 3 and "101 moves" in err and "limit 100" in err
+    assert run_cli(capsys, *argv)[0] == 3  # the defaults, 50n + 500n = 3300 moves
 
 
 def test_cli_simulate_bad_p_exit_2(capsys):
@@ -432,12 +481,13 @@ ARGV = st.one_of(
           variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian"),
           L=st.one_of(SMALL, HUGE), limit=SMALL, format=_choice("text", "json", "dot")),
     _argv("ge", {"n": st.one_of(SMALL, HUGE)}, limit=SMALL, format=_choice("text", "json")),
-    _argv("necklaces", {"n": SMALL}, list=st.none(), limit=SMALL,
+    _argv("necklaces", {"n": st.one_of(SMALL, HUGE)}, list=st.none(), limit=SMALL,
           format=_choice("text", "json")),
     _argv("knuth", {"k": st.one_of(st.integers(-3, 4).map(str), MALFORMED, HUGE)},
           limit=SMALL),
     _argv("toom", {"k": SMALL}),
-    _argv("simulate", {"variant": _choice("popov", "ejs"), "n": SMALL, "p": FRACTIONS,
+    _argv("simulate", {"variant": _choice("popov", "ejs"), "n": st.one_of(SMALL, HUGE),
+                       "p": FRACTIONS,
                        "seed": SMALL},
           burn_in=SMALL, samples=SMALL, initial=STATES, format=_choice("text", "json", "csv")),
     _argv("render", {"state": STATES}, style=_choice("rows", "cradle")),

@@ -418,13 +418,13 @@ def test_fast_bodies_match_oracles_on_random_partitions(data):
 
 def test_enumerate_partitions_matches_oracle():
     for n in range(46):
-        assert list(enumerate_partitions(n, max_n=n)) == list(enumerate_partitions_oracle(n))
+        assert list(enumerate_partitions(n)) == list(enumerate_partitions_oracle(n))
 
 
 def test_bounded_enumeration_matches_recursive_oracle():
     for n in range(31):
         for cap in range(-1, n + 2):
-            assert (list(enumerate_partitions(n, max_part=cap, max_n=n))
+            assert (list(enumerate_partitions(n, max_part=cap))
                     == list(bounded_partitions_oracle(n, cap)))
 
 
@@ -538,7 +538,7 @@ ENUMERABLE = [
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
 def test_ge_rule_matches_counter_pass(variant, n, L):
     game = get_variant(variant, L=L)
-    succ = _explore(list(game.enumerate_states(n, None)), game.step)[0]
+    succ = _explore(list(game.enumerate_states(n)), game.step)[0]
     expected = ge_counter_oracle(succ)
     assert tuple(_garden_of_eden(succ)) == expected
     assert analyze_state_space(n, variant, L=L).ge_states == expected
@@ -565,12 +565,15 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for module, name in [(bsol.dynamics, "bulgarian_step"),
+                         (bsol.dynamics, "enumerate_partitions"),
+                         (bsol.dynamics, "enumerate_compositions"),
+                         (bsol.dynamics, "enumerate_montreal_compositions"),
                          (bsol.stochastic, "sample_popov_mask"),
                          (bsol.stochastic, "sample_ejs_picks"),
                          (bsol.stochastic, "popov_masked_step"),
@@ -582,6 +585,15 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     run_chain(ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4))
     assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
     assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
+    # the variant registry is built per call, so it holds the patched enumerators
+    for variant, L, name, times in [("bulgarian", None, "enumerate_partitions", 1),
+                                    ("dual", None, "enumerate_partitions", 1),
+                                    ("carolina", None, "enumerate_compositions", 1),
+                                    ("montreal", None, "enumerate_montreal_compositions", 1),
+                                    ("austrian", 3, "enumerate_partitions", 3)]:
+        calls.clear()
+        analyze_state_space(6, variant, L=L)
+        assert calls[name] == times, variant
 
 
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth

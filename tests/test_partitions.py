@@ -2,9 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsol.partitions import (
-    COMPOSITION_ENUM_BOUND,
-    PARTITION_ENUM_BOUND,
-    EnumerationBoundError,
     conjugate,
     enumerate_compositions,
     enumerate_montreal_compositions,
@@ -149,12 +146,10 @@ def test_enumerate_partitions_reverse_lex_and_canonical():
         assert seen == sorted(seen, reverse=True)
 
 
-def test_enumerate_partitions_bound():
-    with pytest.raises(EnumerationBoundError):
-        next(enumerate_partitions(PARTITION_ENUM_BOUND + 1))
-    # explicit override lifts the default
-    gen = enumerate_partitions(PARTITION_ENUM_BOUND + 1, max_n=PARTITION_ENUM_BOUND + 1)
-    assert next(gen) == (PARTITION_ENUM_BOUND + 1,)
+def test_enumerators_are_lazy_and_unbounded():
+    # the library sets no size bound; the first state of a huge space comes at once
+    assert next(enumerate_partitions(10**6)) == (10**6,)
+    assert next(enumerate_compositions(10**6)) == (10**6,)
 
 
 def test_enumerate_partitions_max_part():
@@ -171,14 +166,12 @@ def test_enumerate_compositions_small():
     assert len(list(enumerate_compositions(5))) == 16
 
 
-def test_enumerate_compositions_count_and_bound():
+def test_enumerate_compositions_count():
     for n in range(1, 13):
         comps = list(enumerate_compositions(n))
         assert len(comps) == 2 ** (n - 1)
         assert len(set(comps)) == len(comps)
         assert all(sum(c) == n and min(c) >= 1 for c in comps)
-    with pytest.raises(EnumerationBoundError):
-        next(enumerate_compositions(COMPOSITION_ENUM_BOUND + 1))
 
 
 def stars_and_bars_montreal_count(n, max_len):
