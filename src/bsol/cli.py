@@ -48,6 +48,8 @@ AUSTRIAN_N_BOUND = 80
 # 2^k bounds the necklace count; past this k it could print over CPython's
 # default limit of 4,300 digits for int-to-str conversion
 NECKLACE_K_BOUND = 14_284
+# toom takes k(k-1) steps on k(k+1)/2 cards, about k^4 work; k = 100 takes seconds
+TOOM_K_BOUND = 100
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
 
@@ -111,7 +113,8 @@ def _space_size(variant: str, n: int, L: int | None) -> int:
     if variant == "carolina":
         return 2 ** (n - 1)
     if variant == "montreal":
-        return 1 + sum(comb(n - 3 + c, c - 1) for c in range(2, n + 1))
+        # (n), then C(n-2+j, j) with j = 1..n-1 more parts: hockey-stick sum
+        return comb(2 * n - 2, n - 1) if n else 1
     if variant == "austrian":
         return sum(
             _bounded_partition_count(n - bank, L) for bank in range(min(L - 1, n) + 1)
@@ -281,6 +284,11 @@ def _cmd_knuth(args) -> int:
 
 
 def _cmd_toom(args) -> int:
+    if args.k > TOOM_K_BOUND:
+        raise EnumerationBoundError(
+            f"toom at k={args.k} walks {args.k * (args.k - 1)} steps, "
+            f"over the bound k={TOOM_K_BOUND}"
+        )
     report = toom_path(args.k)
     print(f"k={report.k}: tau = {format_parts(report.tau)}")
     print(f"steps to staircase: {report.minimal_steps} (expected {report.expected_steps})")
@@ -303,6 +311,11 @@ def _cmd_simulate(args) -> int:
     if moves > limit:  # each move visits one state
         raise EnumerationBoundError(
             f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
+        )
+    k = triangular_decompose(config.n)[0]
+    if k > limit:  # the statistics compare every visited state with a k-part staircase
+        raise EnumerationBoundError(
+            f"the reference staircase at n={config.n} has {k} parts, over the limit {limit}"
         )
     stats = run_chain(config)
     if args.format == "json":

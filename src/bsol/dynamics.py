@@ -255,17 +255,16 @@ def _explore(seeds, step):
     cycles: dict = {}
     for seed in seeds:
         path: list = []
-        pos: dict = {}
         x = seed
-        while x not in comp_of and x not in pos:
-            pos[x] = len(path)
+        while x not in succ:  # the one visited map: a state in it is in comp_of or on path
             path.append(x)
-            nxt = succ.get(x)
-            if nxt is None:
-                nxt = succ[x] = step(x)
+            nxt = succ[x] = step(x)
             x = nxt
-        if x in pos:  # closed a brand-new cycle inside the current path
-            start = pos[x]
+        if x in comp_of:
+            key = comp_of[x]
+            base = dist[x]
+        else:  # closed a brand-new cycle inside the current path
+            start = path.index(x)
             cyc = path[start:]
             key = min(cyc)
             pivot = cyc.index(key)
@@ -273,11 +272,8 @@ def _explore(seeds, step):
             for s in cyc:
                 comp_of[s] = key
                 dist[s] = 0
-            path = path[:start]
+            del path[start:]
             base = 0
-        else:
-            key = comp_of[x]
-            base = dist[x]
         for back, s in enumerate(reversed(path), 1):
             comp_of[s] = key
             dist[s] = base + back
@@ -348,8 +344,7 @@ def analyze_state_space(
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    seeds = list(game.enumerate_states(n))
-    succ, dist, _, cycles = _explore(seeds, game.step)
+    succ, dist, _, cycles = _explore(game.enumerate_states(n), game.step)
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
         n=n,
@@ -470,8 +465,7 @@ def ge_reachability_check(n: int) -> ReachabilityReport:
     counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    seeds = list(enumerate_partitions(n))
-    succ, _, comp_of, cycles = _explore(seeds, bulgarian_step)
+    succ, _, comp_of, cycles = _explore(enumerate_partitions(n), bulgarian_step)
     ge_by_comp: dict = {}
     for s in _garden_of_eden(succ):  # ascending, so each component keeps its smallest
         ge_by_comp.setdefault(comp_of[s], s)

@@ -50,30 +50,22 @@ def montreal_step(alpha: Composition) -> Composition:
         return ()
     if alpha[0] <= 0 or alpha[-1] <= 0:
         raise ValueError(f"montreal composition needs positive endpoints: {alpha}")
-    raw = _montreal_raw(alpha)
+    raw = []
+    block = 0  # length of the block of positive parts read so far
+    for a in alpha:
+        if a > 0:
+            raw.append(a - 1)
+            block += 1
+        elif a == 0:  # the first zero of a run becomes the block's new pile
+            raw.append(block)
+            block = 0
+        else:
+            raise ValueError(f"montreal composition needs nonnegative parts: {alpha}")
+    raw.append(block)  # the last block's new pile; positive, so only the left needs trimming
     lo = 0
     while raw[lo] == 0:
         lo += 1
-    hi = len(raw)
-    while raw[hi - 1] == 0:
-        hi -= 1
-    return raw[lo:hi]
-
-
-def _montreal_raw(alpha: Composition) -> Composition:
-    if not alpha:
-        return ()
-    j = len(alpha)
-    while j > 0 and alpha[j - 1] > 0:
-        j -= 1
-    if j == 0:  # all parts positive
-        return tuple(a - 1 for a in alpha) + (len(alpha),)
-    gamma = alpha[j:]
-    r = 0
-    while j - r > 0 and alpha[j - r - 1] == 0:
-        r += 1
-    beta = alpha[: j - r]
-    return _montreal_raw(beta) + (0,) * (r - 1) + _montreal_raw(gamma)
+    return tuple(raw[lo:])
 
 
 def dual_step(lam: Partition) -> Partition:

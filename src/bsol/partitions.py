@@ -133,33 +133,32 @@ def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Par
 
 
 def enumerate_compositions(n: int) -> Iterator[Composition]:
-    """Yield every composition of n into positive parts (2^(n-1) of them)."""
+    """Yield every composition of n into positive parts (2^(n-1) of them) in
+    reverse-lexicographic order: each step pops the trailing 1s, takes one
+    from the last part above 1 and appends the freed units as one part."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    yield from _compositions(n)
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        freed = 1  # the unit taken from the last part above 1
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        parts.append(freed)
 
 
-def _compositions(n: int) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def enumerate_montreal_compositions(
-    n: int, *, max_len: int | None = None
-) -> Iterator[Composition]:
+def enumerate_montreal_compositions(n: int) -> Iterator[Composition]:
     """Yield compositions of n with positive endpoints and interior zeros.
 
     Interior zero runs make this state space infinite, so enumeration is
-    cut off at max_len parts (default n).
+    cut off at n parts.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    limit = n if max_len is None else max_len
-    for length in range(1, limit + 1):
+    for length in range(1, n + 1):
         yield from _montreal_tail(n, length, 1)
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,15 @@ def test_cli_orbit_montreal(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--variant", "montreal", "--state", "3,2,2")
     assert code == 0
     assert "cycle length: 18" in out
+
+
+def test_cli_orbit_montreal_with_many_zero_runs(capsys):
+    # 1,101 blocks of one card with 1,100 zero runs between them: the move
+    # is one loop, so the run count does not meet the recursion limit
+    state = ",".join(["1"] + ["0", "1"] * 1100)
+    code, out, err = run_cli(capsys, "orbit", "--variant", "montreal", "--state", state)
+    assert (code, err) == (0, "")
+    assert "tail length: 0" in out and "cycle length: 1" in out
 
 
 def test_cli_orbit_austrian(capsys):
@@ -324,6 +334,28 @@ def test_cli_toom(capsys):
     assert "12" in out
 
 
+def test_cli_toom_guard_lets_the_bound_itself_through(capsys, monkeypatch):
+    walked = []
+    small_walk = bsol.cli.toom_path(3)
+    monkeypatch.setattr(bsol.cli, "toom_path", lambda k: walked.append(k) or small_walk)
+    code, _, _ = run_cli(capsys, "toom", "--k", str(bsol.cli.TOOM_K_BOUND))
+    assert (code, walked) == (0, [bsol.cli.TOOM_K_BOUND])
+
+
+@pytest.mark.parametrize("k", [bsol.cli.TOOM_K_BOUND + 1, 300, 3000, 10**12])
+def test_cli_toom_guard_refuses_large_k_at_once(capsys, monkeypatch, k):
+    # the walk costs about k^4, so a state count cannot bound it
+    def walked(*args):
+        raise AssertionError("the guard let the walk start")
+
+    monkeypatch.setattr(bsol.cli, "toom_path", walked)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "toom", "--k", str(k))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- simulate ---
 
 def test_cli_simulate_json(capsys):
@@ -380,6 +412,39 @@ def test_cli_simulate_guard_counts_every_move_against_the_env_limit(capsys, monk
     assert run_cli(capsys, *argv)[0] == 3  # the defaults, 50n + 500n = 3300 moves
 
 
+def test_cli_simulate_guard_refuses_a_huge_reference_staircase(capsys, monkeypatch):
+    # one move, but the statistics would compare it with a staircase of
+    # 1.4e9 parts
+    def ran(*args, **kwargs):
+        raise AssertionError("the guard let the chain start")
+
+    monkeypatch.setattr(bsol.cli, "run_chain", ran)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--variant", "popov", "--n", str(10**18),
+                             "--p", "0.5", "--seed", "1", "--burn-in", "0", "--samples", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1414213562 parts" in err
+
+
+def test_cli_simulate_staircase_guard_counts_parts_against_the_env_limit(capsys, monkeypatch):
+    monkeypatch.setenv("BSOL_MAX_STATES", "4")
+    argv = ("simulate", "--variant", "popov", "--p", "0.5", "--seed", "1",
+            "--burn-in", "0", "--samples", "1")
+    assert run_cli(capsys, *argv, "--n", "10")[0] == 0  # 10 = 4 + 3 + 2 + 1
+    code, _, err = run_cli(capsys, *argv, "--n", "11")
+    assert code == 3 and "5 parts" in err and "limit 4" in err
+
+
+def test_cli_simulate_runs_a_large_n_under_the_staircase_guard(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--variant", "popov", "--n", str(10**12),
+                           "--p", "0.5", "--seed", "1", "--burn-in", "0", "--samples", "2",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 10**12
+
+
 def test_cli_simulate_bad_p_exit_2(capsys):
     code, _, _ = run_cli(capsys, "simulate", "--variant", "popov", "--n", "6", "--p", "0", "--seed", "1")
     assert code == 2
@@ -418,6 +483,16 @@ def test_cli_graph_guard_refuses_huge_spaces_at_once(capsys, monkeypatch, argv):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "digits" not in err
+
+
+def test_montreal_size_is_the_closed_form_of_the_stratum_sum():
+    # the stratum of n cards in at most n parts: (n) plus C(n-2+j, j)
+    # compositions with j parts past the first
+    for n in range(0, 120):
+        oracle = 1 + sum(comb(n - 3 + c, c - 1) for c in range(2, n + 1))
+        assert _space_size("montreal", n, None) == oracle
+    for n in range(1, 10):
+        assert _space_size("montreal", n, None) == len(list(enumerate_montreal_compositions(n)))
 
 
 def test_cli_guard_sizes_a_huge_lifetime_at_once():
@@ -485,7 +560,7 @@ ARGV = st.one_of(
           format=_choice("text", "json")),
     _argv("knuth", {"k": st.one_of(st.integers(-3, 4).map(str), MALFORMED, HUGE)},
           limit=SMALL),
-    _argv("toom", {"k": SMALL}),
+    _argv("toom", {"k": st.one_of(SMALL, HUGE)}),
     _argv("simulate", {"variant": _choice("popov", "ejs"), "n": st.one_of(SMALL, HUGE),
                        "p": FRACTIONS,
                        "seed": SMALL},

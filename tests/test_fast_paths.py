@@ -8,7 +8,10 @@ or by neither, with the same message.  The JSON and DOT writers are
 compared with json.dumps and the old DOT loop.  Where a primitive had two
 copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
 Montreal recursion), the copy that was folded away is the oracle for the
-one that stayed.  The exhaustive commands' stdout is pinned by SHA-256.
+one that stayed.  The graph stages that became single passes (the
+explorer's one visited map, the Montreal move's loop, the composition
+loop) keep their earlier versions as oracles too.  The exhaustive
+commands' stdout is pinned by SHA-256.
 """
 
 import hashlib
@@ -46,10 +49,12 @@ from bsol.operators import (
     PointerState,
     bulgarian_step,
     ejs_masked_step,
+    montreal_step,
     popov_masked_step,
 )
 from bsol.partitions import (
     conjugate,
+    enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
     format_parts,
@@ -258,6 +263,80 @@ def montreal_tail_oracle(n, length):
     for v in range(n, -1, -1):
         for rest in montreal_tail_oracle(n - v, length - 1):
             yield (v,) + rest
+
+
+def explore_oracle(seeds, step):
+    """The explorer with a per-seed position map beside succ."""
+    succ, dist, comp_of, cycles = {}, {}, {}, {}
+    for seed in seeds:
+        path, pos = [], {}
+        x = seed
+        while x not in comp_of and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            nxt = succ.get(x)
+            if nxt is None:
+                nxt = succ[x] = step(x)
+            x = nxt
+        if x in pos:
+            start = pos[x]
+            cyc = path[start:]
+            key = min(cyc)
+            pivot = cyc.index(key)
+            cycles[key] = tuple(cyc[pivot:] + cyc[:pivot])
+            for s in cyc:
+                comp_of[s] = key
+                dist[s] = 0
+            path = path[:start]
+            base = 0
+        else:
+            key = comp_of[x]
+            base = dist[x]
+        for back, s in enumerate(reversed(path), 1):
+            comp_of[s] = key
+            dist[s] = base + back
+    return succ, dist, comp_of, cycles
+
+
+def montreal_step_oracle(alpha):
+    """The Montreal move recursing once per zero run, then trimmed."""
+    if not alpha:
+        return ()
+    if alpha[0] <= 0 or alpha[-1] <= 0:
+        raise ValueError(f"montreal composition needs positive endpoints: {alpha}")
+    raw = montreal_raw_oracle(alpha)
+    lo = 0
+    while raw[lo] == 0:
+        lo += 1
+    hi = len(raw)
+    while raw[hi - 1] == 0:
+        hi -= 1
+    return raw[lo:hi]
+
+
+def montreal_raw_oracle(alpha):
+    if not alpha:
+        return ()
+    j = len(alpha)
+    while j > 0 and alpha[j - 1] > 0:
+        j -= 1
+    if j == 0:
+        return tuple(a - 1 for a in alpha) + (len(alpha),)
+    gamma = alpha[j:]
+    r = 0
+    while j - r > 0 and alpha[j - r - 1] == 0:
+        r += 1
+    beta = alpha[: j - r]
+    return montreal_raw_oracle(beta) + (0,) * (r - 1) + montreal_raw_oracle(gamma)
+
+
+def compositions_oracle(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in compositions_oracle(n - first):
+            yield (first,) + rest
 
 
 def toom_path_oracle(k):
@@ -506,17 +585,38 @@ def same_stream(xs, ys):
 
 
 def test_montreal_enumeration_matches_two_function_recursion():
-    # the lengths come in ascending order, so the output under a smaller
-    # max_len is a prefix of the output under max_len = n + 1; up to n = 12
-    # (1.35M compositions) that longest run is compared, every cap up to 9
+    # up to n = 12: 705,432 compositions of at most 12 parts
     for n in range(1, 13):
-        assert same_stream(enumerate_montreal_compositions(n, max_len=n + 1),
-                           montreal_oracle(n, n + 1))
-    for n in range(1, 10):
         assert same_stream(enumerate_montreal_compositions(n), montreal_oracle(n))
-        for max_len in range(1, n + 1):
-            assert same_stream(enumerate_montreal_compositions(n, max_len=max_len),
-                               montreal_oracle(n, max_len))
+
+
+# --- one pass per graph stage ---
+
+def test_montreal_step_matches_the_recursion_on_every_small_state():
+    # every Montreal composition of n <= 10 with up to n + 3 parts (395,693
+    # states), so that long zero runs and states outside the enumerated
+    # stratum are stepped; n = 11 alone would add 1.1M states and 15 s
+    for n in range(1, 11):
+        for alpha in montreal_oracle(n, n + 3):
+            assert montreal_step(alpha) == montreal_step_oracle(alpha)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 40)), max_size=60).map(tuple))
+def test_montreal_step_matches_the_recursion(alpha):
+    # zero endpoints included: both raise the same ValueError
+    assert outcome(montreal_step, alpha) == outcome(montreal_step_oracle, alpha)
+
+
+def test_montreal_step_rejects_a_negative_interior_part():
+    # the recursion never returned on one; the loop refuses it
+    with pytest.raises(ValueError, match="nonnegative parts"):
+        montreal_step((2, -1, 3))
+
+
+def test_compositions_match_the_recursive_concatenation():
+    for n in range(1, 19):
+        assert same_stream(enumerate_compositions(n), compositions_oracle(n))
 
 
 def test_toom_path_matches_its_own_step_loop():
@@ -533,6 +633,15 @@ ENUMERABLE = [
     *[("montreal", n, None) for n in range(1, 11)],
     *[("austrian", n, L) for L in range(1, 5) for n in range(11)],
 ]
+
+
+@pytest.mark.parametrize("variant, n, L", ENUMERABLE)
+def test_explorer_matches_the_two_map_walk(variant, n, L):
+    game = get_variant(variant, L=L)
+    expected = explore_oracle(list(game.enumerate_states(n)), game.step)
+    got = _explore(game.enumerate_states(n), game.step)
+    for mine, theirs in zip(got, expected, strict=True):
+        assert list(mine.items()) == list(theirs.items())  # insertion order too
 
 
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
