@@ -8,6 +8,7 @@ from .partitions import (
     enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
+    enumerate_partitions_ascending,
     normalize,
     potential_energy,
     staircase,

@@ -20,6 +20,7 @@ from .dynamics import (
     _NL,
     _SEP,
     StepBoundError,
+    WalkError,
     analyze_state_space,
     garden_of_eden_test,
     get_variant,
@@ -27,6 +28,7 @@ from .dynamics import (
     orbit,
     orbit_json_lines,
     state_label,
+    state_total,
     toom_path,
 )
 from .necklaces import list_necklaces, necklace_count, partition_count
@@ -50,6 +52,10 @@ AUSTRIAN_N_BOUND = 80
 NECKLACE_K_BOUND = 14_284
 # toom takes k(k-1) steps on k(k+1)/2 cards, about k^4 work; k = 100 takes seconds
 TOOM_K_BOUND = 100
+# an orbit from one pile of n cards takes about n moves on states of up to n
+# parts; at 4,000 cards the slowest variant, montreal, takes about 2 s, and
+# past 4,096 its orbit from one pile doubles to 8,196 moves
+ORBIT_CARD_BOUND = 4_000
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
 
@@ -176,6 +182,11 @@ def _cmd_orbit(args) -> int:
         start = PointerState(parse_state(args.state, "circular"), args.pointer)
     else:
         start = parse_state(args.state, variant.state_kind)
+    total = state_total(start)
+    if total > ORBIT_CARD_BOUND:
+        raise EnumerationBoundError(
+            f"an orbit of {total} cards is over the bound of {ORBIT_CARD_BOUND} cards"
+        )
     try:
         result = orbit(start, variant.step, step_bound=args.step_bound)
     except StepBoundError as exc:
@@ -199,10 +210,10 @@ def _cmd_graph(args) -> int:
     get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
     _check_space(args.variant, args.n, L, _state_limit(args))
     summary = analyze_state_space(args.n, args.variant, L=L, keep_edges=args.format == "dot")
-    if args.format == "json":
-        print(summary.to_json())
-    elif args.format == "dot":
-        print(summary.to_dot())
+    if args.format in ("json", "dot"):
+        chunks = summary.json_chunks() if args.format == "json" else summary.dot_chunks()
+        sys.stdout.writelines(chunks)
+        print()
     else:
         print(f"variant: {summary.variant}  n: {summary.n}")
         print(f"states: {summary.state_count}")
@@ -423,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except StepBoundError as exc:
+    except (StepBoundError, WalkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
+from .necklaces import list_necklaces, partition_count
 from .operators import (
     AustrianState,
     MultiplayerState,
@@ -34,10 +36,12 @@ from .partitions import (
     enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
+    enumerate_partitions_ascending,
     format_parts,
     join_parts,
     parts_to_json,
     staircase,
+    triangular_decompose,
 )
 
 State = Any
@@ -46,6 +50,10 @@ StepFn = Callable[[State], State]
 
 class StepBoundError(RuntimeError):
     """An orbit failed to repeat within the step bound (internal error)."""
+
+
+class WalkError(RuntimeError):
+    """The backward walk failed a self-check (internal error)."""
 
 
 def state_total(state: State) -> int:
@@ -71,6 +79,9 @@ _STATE_HEAD = "{" + _NL[3] + '"parts": [' + _NL[4]
 _STATE_SEP = _SEP[4]
 _STATE_MID = _NL[3] + "]" + _SEP[3] + '"n": '
 _STATE_TAIL = _NL[2] + "}"
+# members of a large JSON list or dict, or DOT lines, per output chunk: one
+# write per member would cost more than the member, one chunk would hold all
+_BATCH = 512
 
 
 def _state_json(state: State) -> str:
@@ -86,19 +97,24 @@ def _state_json(state: State) -> str:
     return json.dumps(state_to_jsonable(state), indent=2).replace("\n", _NL[2])
 
 
-def dumps_with_bulk(head: dict, key: str, brackets: str, members: Iterable[str]) -> str:
-    """json.dumps({**head, key: value}, indent=2) for a large list or dict
-    value whose members come already rendered, two levels down.
+def json_with_bulk(head: dict, key: str, brackets: str, members: Iterable[str]) -> Iterator[str]:
+    """json.dumps({**head, key: value}, indent=2), in chunks, for a large
+    list or dict value whose members come already rendered, two levels down.
 
     json uses its C encoder only without an indent; with one it falls back
     to a pure-Python encoder that also holds every fragment until the end.
-    Here only the small head goes through json.  brackets is "[]" or "{}",
-    and a dict member is its '"key": value' text.
+    Here only the small head goes through json, and the members are joined
+    a batch at a time, so no chunk holds them all.  brackets is "[]" or
+    "{}", and a dict member is its '"key": value' text.
     """
     text = json.dumps(head, indent=2).removesuffix("\n}")
-    body = _SEP[2].join(members)
-    opening, closing = (brackets[0] + _NL[2], _NL[1] + brackets[1]) if body else (brackets, "")
-    return f"{text}{_SEP[1]}{json.dumps(key)}: {opening}{body}{closing}\n}}"
+    yield f"{text}{_SEP[1]}{json.dumps(key)}: "
+    opening = sep = brackets[0] + _NL[2]
+    members = iter(members)
+    while batch := list(islice(members, _BATCH)):
+        yield sep + _SEP[2].join(batch)
+        sep = _SEP[2]
+    yield (brackets if sep is opening else _NL[1] + brackets[1]) + "\n}"
 
 
 def state_label(state: State) -> str:
@@ -241,6 +257,12 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
 
 # --- full graph analysis ---
 
+def _rotated(cycle) -> tuple:
+    """The cycle rotated to start at its smallest state."""
+    pivot = cycle.index(min(cycle))
+    return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
+
+
 def _explore(seeds, step):
     """Walk every seed to its cycle, memoizing across seeds.
 
@@ -265,11 +287,10 @@ def _explore(seeds, step):
             base = dist[x]
         else:  # closed a brand-new cycle inside the current path
             start = path.index(x)
-            cyc = path[start:]
-            key = min(cyc)
-            pivot = cyc.index(key)
-            cycles[key] = tuple(cyc[pivot:] + cyc[:pivot])
-            for s in cyc:
+            cyc = _rotated(path[start:])
+            key = cyc[0]
+            cycles[key] = cyc
+            for s in path[start:]:
                 comp_of[s] = key
                 dist[s] = 0
             del path[start:]
@@ -286,17 +307,147 @@ def _garden_of_eden(succ: dict) -> list:
     return sorted(s for s in succ if s not in targets)
 
 
+def _predecessors(mu: Partition) -> list[Partition]:
+    """Every partition that one Bulgarian move sends to mu.
+
+    With l parts in mu, each distinct part c >= l - 1 gives one: drop one
+    copy of c, add a card to each remaining pile and append c - (l - 1)
+    piles of one card.  None qualifies exactly when mu is a Garden of Eden
+    state.  The empty partition, which steps to itself, gets none.
+    """
+    top = len(mu) - 1
+    if not mu or mu[0] < top:
+        return []
+    up = tuple([p + 1 for p in mu])
+    preds = []
+    last = 0
+    for i, c in enumerate(mu):
+        if c < top:
+            break
+        if c != last:  # equal parts are adjacent and give the same predecessor
+            last = c
+            preds.append(up[:i] + up[i + 1 :] + (1,) * (c - top))
+    return preds
+
+
+class _Walk(NamedTuple):
+    states: int  # states reached, cycles included
+    max_tail: int  # the largest distance to a cycle among them
+    ge_count: int  # Garden of Eden states among them
+    smallest_ge: list  # per cycle, its smallest Garden of Eden state or None
+
+
+def _walk_back(cycles, depth: int | None = None) -> _Walk:
+    """Walk the Bulgarian graph backwards from its cycles, depth first.
+
+    Every state off a cycle has exactly one successor, so each is reached
+    once, from the cycle state its orbit enters, with no visited set:
+    memory follows the walk's depth, not the number of states.  The walk
+    stops at the given depth, if any.
+    """
+    count = max_tail = ge_count = 0
+    smallest_ge = []
+    for cyc in cycles:
+        count += len(cyc)
+        first = None
+        roots = []
+        for i, x in enumerate(cyc):
+            roots.extend(p for p in _predecessors(x) if p != cyc[i - 1])
+        levels = [roots] if roots and depth != 0 else []  # levels[d - 1]: pending at distance d
+        while levels:
+            level = levels[-1]
+            if not level:
+                levels.pop()
+                continue
+            x = level.pop()
+            count += 1
+            d = len(levels)
+            preds = _predecessors(x)
+            if not preds:
+                ge_count += 1
+                if first is None or x < first:
+                    first = x
+            elif d != depth:
+                levels.append(preds)
+            if d > max_tail:
+                max_tail = d
+        smallest_ge.append(first)
+    return _Walk(count, max_tail, ge_count, smallest_ge)
+
+
+def _bulgarian_cycles(n: int) -> list[tuple[Partition, ...]]:
+    """The cycles of the Bulgarian graph on partitions of n, each rotated
+    to start at its smallest state, in ascending order.
+
+    Write n = (k-1)k/2 + r.  Each necklace of r black beads among k gives
+    a state on a cycle: pile i holds k - i cards, plus one if bead i is
+    black (Brandt, "Cycles of partitions").  Its orbit is the cycle.
+    """
+    if n == 0:
+        return [((),)]
+    k, r = triangular_decompose(n)
+    cycles = {}
+    for necklace in list_necklaces(k, r):
+        piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
+        cyc = _rotated(orbit(tuple(p for p in piles if p), bulgarian_step).cycle)
+        cycles[cyc[0]] = cyc
+    return [cycles[key] for key in sorted(cycles)]
+
+
+def _walk_graph(n: int) -> tuple[list, _Walk]:
+    """The Bulgarian cycles on n cards and the walk back from them.
+
+    The walk checks itself: it must reach all p(n) partitions, or a cycle
+    was missed.  The component count is the number of cycles the walk
+    started from, never the closed form it is compared against.
+    """
+    total = partition_count(n)
+    cycles = _bulgarian_cycles(n)
+    walk = _walk_back(cycles)
+    if walk.states != total:
+        raise WalkError(
+            f"the walk back from the cycles counted {walk.states} states, "
+            f"not the {total} partitions of {n}"
+        )
+    return cycles, walk
+
+
+class _Stream:
+    """A sized, re-iterable collection whose items are made afresh on each
+    pass, so that no pass holds them all."""
+
+    def __init__(self, make: Callable[[], Iterator], size: int):
+        self._make = make
+        self._size = size
+
+    def __iter__(self) -> Iterator:
+        return self._make()
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def _dual_ge(lam: Partition) -> bool:
+    # the conjugate of the Bulgarian rule: fewer parts than the largest part minus one
+    return len(lam) < lam[0] - 1
+
+
 @dataclass(frozen=True)
 class GraphSummary:
-    """Exact structure of one variant's state graph on all states of size n."""
+    """Exact structure of one variant's state graph on all states of size n.
+
+    For the Bulgarian and dual games, ge_states and edges are streams:
+    each pass makes them afresh from an ascending enumeration of the
+    partitions, in the same order as a tuple would hold them.
+    """
 
     n: int
     variant: str
     state_count: int
     cycles: tuple[tuple[State, ...], ...]
     max_tail: int
-    ge_states: tuple[State, ...]
-    edges: tuple[tuple[State, State], ...] | None = field(default=None, repr=False)
+    ge_states: tuple[State, ...] | _Stream
+    edges: tuple[tuple[State, State], ...] | _Stream | None = field(default=None, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -306,7 +457,8 @@ class GraphSummary:
     def cycle_lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json(), a piece at a time."""
         head = {
             "n": self.n,
             "variant": self.variant,
@@ -315,17 +467,27 @@ class GraphSummary:
             "max_tail": self.max_tail,
             "cycles": [[state_to_jsonable(s) for s in cyc] for cyc in self.cycles],
         }
-        return dumps_with_bulk(head, "ge_states", "[]", map(_state_json, self.ge_states))
+        return json_with_bulk(head, "ge_states", "[]", map(_state_json, self.ge_states))
+
+    def dot_chunks(self) -> Iterator[str]:
+        """The text of to_dot(), a piece at a time."""
+        if self.edges is None:
+            raise ValueError("summary was built without keep_edges=True")
+        yield f"digraph {self.variant}_n{self.n} {{"
+        lines = chain(
+            (f'\n  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states),
+            (f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges),
+        )
+        while batch := list(islice(lines, _BATCH)):
+            yield "".join(batch)
+        yield "\n}"
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
     def to_dot(self) -> str:
         """DOT digraph with one edge per state; GE nodes are marked."""
-        if self.edges is None:
-            raise ValueError("summary was built without keep_edges=True")
-        lines = [f"digraph {self.variant}_n{self.n} {{"]
-        lines.extend(f'  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states)
-        lines.extend(f'  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges)
-        lines.append("}")
-        return "\n".join(lines)
+        return "".join(self.dot_chunks())
 
 
 def analyze_state_space(
@@ -337,6 +499,11 @@ def analyze_state_space(
 ) -> GraphSummary:
     """Exhaustively analyze every state of total n under one variant.
 
+    The Bulgarian and dual graphs are walked backwards from their cycles
+    (see _walk_back), in memory that follows the walk's depth.  The dual
+    move is the Bulgarian move conjugated, so its graph is the Bulgarian
+    graph with every state conjugated.  The other variants are explored
+    forwards from every state, in memory that follows the state count.
     Orbits may pass through states outside the seed enumeration (the
     Montreal stratum is not closed under its step); everything visited is
     included in the counts.
@@ -344,6 +511,8 @@ def analyze_state_space(
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
+    if variant in ("bulgarian", "dual"):
+        return _walked_summary(n, game, keep_edges)
     succ, dist, _, cycles = _explore(game.enumerate_states(n), game.step)
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
@@ -354,6 +523,34 @@ def analyze_state_space(
         max_tail=max(dist.values(), default=0),
         ge_states=tuple(_garden_of_eden(succ)),
         edges=tuple(sorted(succ.items())) if keep_edges else None,
+    )
+
+
+def _walked_summary(n: int, game: Variant, keep_edges: bool) -> GraphSummary:
+    cycles, walk = _walk_graph(n)
+    is_ge = garden_of_eden_test
+    if game.name == "dual":
+        cycles = sorted(_rotated(tuple(map(conjugate, cyc))) for cyc in cycles)
+        is_ge = _dual_ge
+    # each cycle must step round under the variant's own move; the dual
+    # move refuses the empty partition of 0 cards here
+    for cyc in cycles:
+        if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+            raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
+    step = game.step
+    return GraphSummary(
+        n=n,
+        variant=game.name,
+        state_count=walk.states,
+        cycles=tuple(cycles),
+        max_tail=walk.max_tail,
+        ge_states=_Stream(
+            lambda: (lam for lam in enumerate_partitions_ascending(n) if lam and is_ge(lam)),
+            walk.ge_count,
+        ),
+        edges=_Stream(
+            lambda: ((lam, step(lam)) for lam in enumerate_partitions_ascending(n)), walk.states
+        ) if keep_edges else None,
     )
 
 
@@ -387,12 +584,12 @@ class KnuthReport:
 def knuth_exponent_check(k: int) -> KnuthReport:
     """Check that B^(k(k-1)) sends every partition of k(k+1)/2 to the staircase.
 
-    Every partition is stepped once: the memoised explorer gives each its
-    component and its distance to that component's cycle.  The staircase is
-    a fixed point, so it keys its own component, and a partition reaches it
-    within the exponent exactly when it lies in that component at distance
-    at most the exponent.  Memory is O(p(n)), as for analyze_state_space.
-    Witnesses come in enumeration order.
+    The staircase is a fixed point, so the partitions that reach it within
+    the exponent are those the walk back from it reaches within that
+    depth: the claim holds exactly when the walk reaches all p(n) of them.
+    Memory follows the walk's depth.  Only when the claim fails are the
+    witnesses listed, by exploring every partition forwards, in
+    enumeration order.
     """
     return _knuth_check(k, k * (k - 1))
 
@@ -402,6 +599,9 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
+    total = partition_count(n)
+    if _walk_back([(sigma,)], exponent).states == total:
+        return KnuthReport(k, n, exponent, total, ())
     seeds = list(enumerate_partitions(n))
     _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
     bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
@@ -465,17 +665,9 @@ def ge_reachability_check(n: int) -> ReachabilityReport:
     counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    succ, _, comp_of, cycles = _explore(enumerate_partitions(n), bulgarian_step)
-    ge_by_comp: dict = {}
-    for s in _garden_of_eden(succ):  # ascending, so each component keeps its smallest
-        ge_by_comp.setdefault(comp_of[s], s)
+    cycles, walk = _walk_graph(n)
     witnesses = []
-    holds = True
-    for key in sorted(cycles):
-        ge = ge_by_comp.get(key)
-        if ge is None:
-            holds = False
-            witnesses.append(CycleWitness(cycles[key], None, ()))
-        else:
-            witnesses.append(CycleWitness(cycles[key], ge, orbit(ge, bulgarian_step).path))
-    return ReachabilityReport(n, holds, tuple(witnesses))
+    for cyc, ge in zip(cycles, walk.smallest_ge):
+        path = () if ge is None else orbit(ge, bulgarian_step).path
+        witnesses.append(CycleWitness(cyc, ge, path))
+    return ReachabilityReport(n, None not in walk.smallest_ge, tuple(witnesses))

@@ -132,6 +132,41 @@ def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Par
         yield tuple(x[:m])
 
 
+def enumerate_partitions_ascending(n: int) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, in ascending lexicographic
+    order: the reverse of enumerate_partitions, from 1^n up to (n).
+
+    The next larger partition raises the last part that may grow, the
+    rightmost part that is not the last and is below its left neighbour,
+    and turns everything after it into 1s.  As in ZS1, every slot past
+    the current parts already holds a 1 and h marks the last part above 1,
+    so only parts above 1 are ever reset.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        yield ()
+        return
+    x = [1] * n
+    m, h = n, -1  # number of parts; index of the last part above 1
+    yield tuple(x)
+    while m > 1:
+        if m - h > 2:  # two trailing 1s become one 2
+            h += 1
+            x[h] = 2
+            m -= 1
+        else:  # the part that grows starts the run holding x[m - 2]
+            i, v = m - 2, x[m - 2]
+            while i and x[i - 1] == v:
+                i -= 1
+            m = i + sum(x[i + 1 : m])
+            x[i] = v + 1
+            for j in range(i + 1, h + 1):
+                x[j] = 1
+            h = i
+        yield tuple(x[:m])
+
+
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """Yield every composition of n into positive parts (2^(n-1) of them) in
     reverse-lexicographic order: each step pops the trailing 1s, takes one

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .dynamics import dumps_with_bulk
+from .dynamics import json_with_bulk
 from .operators import ejs_masked_step, popov_masked_step
 from .partitions import (
     Partition,
@@ -146,7 +146,7 @@ class ChainStats:
         counts = (
             f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
         )
-        return dumps_with_bulk(head, "visit_counts", "{}", counts)
+        return "".join(json_with_bulk(head, "visit_counts", "{}", counts))
 
     def mean_shape_csv(self) -> str:
         lines = ["index,mean_part"]

@@ -173,6 +173,37 @@ def test_cli_orbit_user_step_bound_too_small_exits_2(capsys):
     assert run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", "20")[0] == 0
 
 
+def test_cli_orbit_guard_lets_the_bound_itself_through(capsys):
+    bound = bsol.cli.ORBIT_CARD_BOUND
+    code, out, _ = run_cli(capsys, "orbit", "--state", str(bound))
+    assert code == 0
+    assert f"   0  {bound}\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--state", "1000000"),
+    ("--state", str(bsol.cli.ORBIT_CARD_BOUND + 1)),
+    ("--variant", "dual", "--state", "3000,1001"),
+    ("--variant", "montreal", "--state", "4000,0,1"),
+    ("--variant", "carolina", "--state", str(10**12)),
+    ("--variant", "austrian", "--state", "1000000", "--L", "1000000"),
+    ("--variant", "austrian", "--state", "1", "--bank", "4000", "--L", "2"),
+    ("--variant", "servedio_yeh", "--state", "0,1000000,0"),
+    ("--variant", "janetzko", "--state", "1000000", "--pointer", "1"),
+])
+def test_cli_orbit_guard_refuses_large_states_at_once(capsys, monkeypatch, argv):
+    # one pile of n cards takes about n moves on states of up to n parts
+    def walked(*args, **kwargs):
+        raise AssertionError("the guard let the orbit start")
+
+    monkeypatch.setattr(bsol.cli, "orbit", walked)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbit", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_unknown_command_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -548,7 +579,7 @@ def _choice(*values):
 
 
 ARGV = st.one_of(
-    _argv("orbit", {"state": STATES},
+    _argv("orbit", {"state": st.one_of(STATES, HUGE)},
           variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian",
                           "servedio_yeh", "janetzko"),
           L=SMALL, bank=SMALL, pointer=SMALL, step_bound=SMALL, format=_choice("text", "json")),
@@ -580,3 +611,38 @@ def test_cli_exit_code_contract_holds_for_any_argv(argv):
     assert "Traceback" not in err.getvalue()
     if code in (3, 4):
         assert err.getvalue().startswith("error: ")
+
+
+# --- memory of the exhaustive commands ---
+
+PEAK_SCRIPT = """
+import os, sys
+from bsol.cli import main
+sys.stdout = open(os.devnull, "w")
+code = main(sys.argv[1:])
+sys.stdout.close()
+with open("/proc/self/status") as status:
+    peak_kb = next(line for line in status if line.startswith("VmHWM:")).split()[1]
+sys.__stdout__.write(f"{code} {peak_kb}")
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ("graph", "--n", "55", "--format", "json"),
+    ("graph", "--variant", "dual", "--n", "55", "--format", "json"),
+    ("knuth", "--k", "10"),
+])
+def test_exhaustive_commands_peak_under_40_mb(argv):
+    # the Bulgarian and dual graphs are walked back from their cycles, so
+    # memory follows the walk's depth, not the 451,276 partitions of 55.
+    # The child reads its own high-water mark: its ru_maxrss would never
+    # read below the peak of this test process, which forked it.
+    src = str(Path(bsol.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

@@ -10,8 +10,10 @@ copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
 Montreal recursion), the copy that was folded away is the oracle for the
 one that stayed.  The graph stages that became single passes (the
 explorer's one visited map, the Montreal move's loop, the composition
-loop) keep their earlier versions as oracles too.  The exhaustive
-commands' stdout is pinned by SHA-256.
+loop) keep their earlier versions as oracles too.  The Bulgarian and dual
+graphs, walked back from their cycles, are compared with the forward
+explorer that still serves the other variants.  The exhaustive commands'
+stdout is pinned by SHA-256.
 """
 
 import hashlib
@@ -27,12 +29,15 @@ import bsol.stochastic
 from bsol.cli import main
 from bsol.dynamics import (
     CycleWitness,
+    GraphSummary,
+    KnuthReport,
     ReachabilityReport,
     StepBoundError,
     ToomReport,
     _explore,
     _garden_of_eden,
     _knuth_check,
+    _predecessors,
     _state_json,
     analyze_state_space,
     default_step_bound,
@@ -57,6 +62,7 @@ from bsol.partitions import (
     enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
+    enumerate_partitions_ascending,
     format_parts,
     normalize,
     potential_energy,
@@ -385,6 +391,31 @@ def ge_reachability_oracle(n):
     return ReachabilityReport(n, holds, tuple(witnesses))
 
 
+def explored_summary_oracle(n, variant):
+    """The summary as the forward explorer builds it, edges kept."""
+    game = get_variant(variant)
+    succ, dist, _, cycles = _explore(game.enumerate_states(n), game.step)
+    return GraphSummary(
+        n=n,
+        variant=variant,
+        state_count=len(succ),
+        cycles=tuple(cycles[key] for key in sorted(cycles)),
+        max_tail=max(dist.values(), default=0),
+        ge_states=tuple(_garden_of_eden(succ)),
+        edges=tuple(sorted(succ.items())),
+    )
+
+
+def knuth_explore_oracle(k, exponent):
+    """The Knuth check exploring every partition forwards."""
+    n = k * (k + 1) // 2
+    sigma = staircase(k)
+    seeds = list(enumerate_partitions(n))
+    _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
+    bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
+    return KnuthReport(k, n, exponent, len(seeds), bad)
+
+
 def chain_tally_oracle(config):
     """visit_counts and the recorded path of the per-move branching loop."""
     rng = make_rng(config.seed)
@@ -650,12 +681,66 @@ def test_ge_rule_matches_counter_pass(variant, n, L):
     succ = _explore(list(game.enumerate_states(n)), game.step)[0]
     expected = ge_counter_oracle(succ)
     assert tuple(_garden_of_eden(succ)) == expected
-    assert analyze_state_space(n, variant, L=L).ge_states == expected
+    assert tuple(analyze_state_space(n, variant, L=L).ge_states) == expected
 
 
 def test_ge_reachability_matches_counter_pass():
     for n in range(3, 15):
         assert ge_reachability_check(n) == ge_reachability_oracle(n)
+
+
+# --- the backward walk from the cycles ---
+
+def test_predecessor_rule_matches_brute_force_preimages():
+    for n in range(1, 22):
+        preimages = {}
+        for lam in enumerate_partitions(n):
+            preimages.setdefault(bulgarian_step(lam), []).append(lam)
+        for mu in enumerate_partitions(n):
+            preds = _predecessors(mu)
+            assert len(set(preds)) == len(preds), mu
+            assert sorted(preds) == sorted(preimages.get(mu, [])), mu
+
+
+def test_ascending_enumeration_is_the_sorted_partitions():
+    for n in range(46):
+        assert same_stream(enumerate_partitions_ascending(n), sorted(enumerate_partitions(n)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(enumerate_partitions_ascending(-1))
+
+
+@pytest.mark.parametrize("variant, first", [("bulgarian", 0), ("dual", 1)])
+def test_walk_matches_the_forward_explorer(variant, first):
+    for n in range(first, 41):
+        walked = analyze_state_space(n, variant, keep_edges=True)
+        explored = explored_summary_oracle(n, variant)
+        assert walked.state_count == explored.state_count, n
+        assert walked.cycles == explored.cycles, n
+        assert walked.max_tail == explored.max_tail, n
+        assert tuple(walked.ge_states) == explored.ge_states, n
+        assert len(walked.ge_states) == len(explored.ge_states), n
+        assert walked.to_json() == explored.to_json(), n
+        assert walked.to_dot() == explored.to_dot(), n
+
+
+def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():
+    for k in range(1, 8):
+        for exponent in range(k * (k - 1) + 1):
+            assert _knuth_check(k, exponent) == knuth_explore_oracle(k, exponent), (k, exponent)
+
+
+def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
+    # the walk counts what it reaches against p(n), never against the
+    # necklace count, so dropping a cycle must be caught
+    cycles = bsol.dynamics._bulgarian_cycles
+    monkeypatch.setattr(bsol.dynamics, "_bulgarian_cycles", lambda n: cycles(n)[1:])
+    for variant in ("bulgarian", "dual"):
+        assert main(["graph", "--variant", variant, "--n", "8"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the walk back from the cycles counted 7 states, not the 22 partitions of 8\n"
+    with pytest.raises(bsol.dynamics.WalkError):
+        ge_reachability_check(8)
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
@@ -694,15 +779,21 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     run_chain(ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4))
     assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
     assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
-    # the variant registry is built per call, so it holds the patched enumerators
-    for variant, L, name, times in [("bulgarian", None, "enumerate_partitions", 1),
-                                    ("dual", None, "enumerate_partitions", 1),
+    # the variant registry is built per call, so it holds the patched enumerators;
+    # the Bulgarian and dual graphs are walked back from their cycles instead
+    for variant, L, name, times in [("bulgarian", None, "enumerate_partitions", 0),
+                                    ("dual", None, "enumerate_partitions", 0),
                                     ("carolina", None, "enumerate_compositions", 1),
                                     ("montreal", None, "enumerate_montreal_compositions", 1),
                                     ("austrian", 3, "enumerate_partitions", 3)]:
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
+    # ... which steps its one cycle twice, orbiting it and checking it, and
+    # the DOT edges step each of the 11 partitions of 6 once
+    calls.clear()
+    analyze_state_space(6, keep_edges=True).to_dot()
+    assert calls["bulgarian_step"] == 2 + 11
 
 
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
@@ -744,7 +835,24 @@ GOLDEN_ONE_COPY = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY)
+# recorded before the Bulgarian and dual graphs were walked backwards from
+# their cycles instead of explored forwards from every state
+GOLDEN_WALK = [
+    (("graph", "--n", "30", "--format", "dot"),
+     "dc77a8713145e01d7e277c1f22e9c7550384108ac9b3da15f3729bbf785c450b"),
+    (("graph", "--variant", "dual", "--n", "30", "--format", "dot"),
+     "7f199f7bd00199efe51761bee37784a44d83ce3541a396d84b60109ab5c76cac"),
+    (("graph", "--variant", "dual", "--n", "40", "--format", "json"),
+     "65b53ca52bfb3b909c550d872b3c97261c97581ac7510ffe2c14b33714997a45"),
+    (("knuth", "--k", "10"),
+     "9291058b71fe41b1e4e952b16ed5fa0bd5ff1acf7617fd291f384ee2e34cd915"),
+    (("graph", "--n", "0", "--format", "json"),
+     "d222c9cbc58f2ac96929f76fda3c44e573e8606483652e52ad583c50a45d26f0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest",
+                         GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY + GOLDEN_WALK)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
