@@ -190,9 +190,13 @@ def _cmd_orbit(args) -> int:
     try:
         result = orbit(start, variant.step, step_bound=args.step_bound)
     except StepBoundError as exc:
-        if args.step_bound is None:
-            raise  # the default bound is proven safe, so this is a defect
-        raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
+        if args.step_bound is not None:
+            raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
+        if args.variant == "montreal":
+            raise EnumerationBoundError(
+                f"{exc}, the default bound; montreal orbits have no proven bound"
+            ) from None
+        raise  # no finite variant's orbit is known to pass it, so this is a defect
     if args.format == "json":
         print("\n".join(orbit_json_lines(result)))
         return 0

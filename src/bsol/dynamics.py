@@ -49,7 +49,7 @@ StepFn = Callable[[State], State]
 
 
 class StepBoundError(RuntimeError):
-    """An orbit failed to repeat within the step bound (internal error)."""
+    """An orbit failed to repeat within the step bound."""
 
 
 class WalkError(RuntimeError):
@@ -128,8 +128,9 @@ def state_label(state: State) -> str:
 
 
 def default_step_bound(state: State) -> int:
-    # 4n^2 sits far above the proven k(k-1) convergence exponent; seats and
-    # player counts add positional freedom beyond the card count
+    # 4n^2 sits far above the k(k-1) exponent proven for the Bulgarian game;
+    # seats and player counts add positional freedom beyond the card count.
+    # It proves nothing for Montreal, whose state space is infinite.
     n = state_total(state)
     if isinstance(state, PointerState):
         n += len(state.piles)
@@ -155,8 +156,8 @@ def orbit(start: State, step: StepFn, step_bound: int | None = None) -> OrbitRes
     """Iterate step until the first state repetition.
 
     path holds tail + cycle_length + 1 states (the repeat included);
-    exceeding step_bound raises StepBoundError, which signals a
-    configuration error since these state spaces are finite.
+    exceeding step_bound raises StepBoundError, which signals a defect
+    on the finite state spaces, not on Montreal's infinite one.
     """
     if step_bound is None:
         step_bound = default_step_bound(start)
@@ -266,39 +267,33 @@ def _rotated(cycle) -> tuple:
 def _explore(seeds, step):
     """Walk every seed to its cycle, memoizing across seeds.
 
-    Returns (succ, dist, comp_of, cycles): the successor of every visited
-    state, its distance to the cycle, the component key it belongs to
-    (the smallest state of the component's cycle), and the cycles keyed
-    the same way, each rotated to start at its smallest state.
+    Returns (succ, dist, cycles): the successor of every visited state,
+    its distance to the cycle, and the cycles keyed by their smallest
+    state, each rotated to start at it.
     """
     succ: dict = {}
     dist: dict = {}
-    comp_of: dict = {}
     cycles: dict = {}
     for seed in seeds:
         path: list = []
         x = seed
-        while x not in succ:  # the one visited map: a state in it is in comp_of or on path
+        while x not in succ:  # the one visited map: a state in it is in dist or on path
             path.append(x)
             nxt = succ[x] = step(x)
             x = nxt
-        if x in comp_of:
-            key = comp_of[x]
+        if x in dist:
             base = dist[x]
         else:  # closed a brand-new cycle inside the current path
             start = path.index(x)
             cyc = _rotated(path[start:])
-            key = cyc[0]
-            cycles[key] = cyc
+            cycles[cyc[0]] = cyc
             for s in path[start:]:
-                comp_of[s] = key
                 dist[s] = 0
             del path[start:]
             base = 0
         for back, s in enumerate(reversed(path), 1):
-            comp_of[s] = key
             dist[s] = base + back
-    return succ, dist, comp_of, cycles
+    return succ, dist, cycles
 
 
 def _garden_of_eden(succ: dict) -> list:
@@ -337,13 +332,12 @@ class _Walk(NamedTuple):
     smallest_ge: list  # per cycle, its smallest Garden of Eden state or None
 
 
-def _walk_back(cycles, depth: int | None = None) -> _Walk:
+def _walk_back(cycles) -> _Walk:
     """Walk the Bulgarian graph backwards from its cycles, depth first.
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
-    memory follows the walk's depth, not the number of states.  The walk
-    stops at the given depth, if any.
+    memory follows the walk's depth, not the number of states.
     """
     count = max_tail = ge_count = 0
     smallest_ge = []
@@ -353,7 +347,7 @@ def _walk_back(cycles, depth: int | None = None) -> _Walk:
         roots = []
         for i, x in enumerate(cyc):
             roots.extend(p for p in _predecessors(x) if p != cyc[i - 1])
-        levels = [roots] if roots and depth != 0 else []  # levels[d - 1]: pending at distance d
+        levels = [roots] if roots else []  # levels[d - 1]: pending at distance d
         while levels:
             level = levels[-1]
             if not level:
@@ -367,7 +361,7 @@ def _walk_back(cycles, depth: int | None = None) -> _Walk:
                 ge_count += 1
                 if first is None or x < first:
                     first = x
-            elif d != depth:
+            else:
                 levels.append(preds)
             if d > max_tail:
                 max_tail = d
@@ -436,9 +430,9 @@ def _dual_ge(lam: Partition) -> bool:
 class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n.
 
-    For the Bulgarian and dual games, ge_states and edges are streams:
-    each pass makes them afresh from an ascending enumeration of the
-    partitions, in the same order as a tuple would hold them.
+    edges is a stream for every variant, and so is ge_states for the
+    Bulgarian and dual games: each pass makes them afresh, in ascending
+    order of the source state, as a sorted tuple would hold them.
     """
 
     n: int
@@ -447,7 +441,7 @@ class GraphSummary:
     cycles: tuple[tuple[State, ...], ...]
     max_tail: int
     ge_states: tuple[State, ...] | _Stream
-    edges: tuple[tuple[State, State], ...] | _Stream | None = field(default=None, repr=False)
+    edges: _Stream | None = field(default=None, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -513,7 +507,7 @@ def analyze_state_space(
         raise ValueError(f"variant {variant!r} has no state enumeration")
     if variant in ("bulgarian", "dual"):
         return _walked_summary(n, game, keep_edges)
-    succ, dist, _, cycles = _explore(game.enumerate_states(n), game.step)
+    succ, dist, cycles = _explore(game.enumerate_states(n), game.step)
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
         n=n,
@@ -522,7 +516,9 @@ def analyze_state_space(
         cycles=ordered_cycles,
         max_tail=max(dist.values(), default=0),
         ge_states=tuple(_garden_of_eden(succ)),
-        edges=tuple(sorted(succ.items())) if keep_edges else None,
+        edges=_Stream(
+            lambda: ((s, succ[s]) for s in sorted(succ)), len(succ)
+        ) if keep_edges else None,
     )
 
 
@@ -584,11 +580,11 @@ class KnuthReport:
 def knuth_exponent_check(k: int) -> KnuthReport:
     """Check that B^(k(k-1)) sends every partition of k(k+1)/2 to the staircase.
 
-    The staircase is a fixed point, so the partitions that reach it within
-    the exponent are those the walk back from it reaches within that
-    depth: the claim holds exactly when the walk reaches all p(n) of them.
-    Memory follows the walk's depth.  Only when the claim fails are the
-    witnesses listed, by exploring every partition forwards, in
+    The claim holds exactly when the walk back from the cycles finds one
+    cycle, the staircase, and no state farther from it than the exponent;
+    the walk checks that it counted all p(n) partitions.  Memory follows
+    the walk's depth.  Only when the claim fails are the witnesses listed:
+    every partition whose orbit ends elsewhere or takes longer, in
     enumeration order.
     """
     return _knuth_check(k, k * (k - 1))
@@ -599,13 +595,15 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    total = partition_count(n)
-    if _walk_back([(sigma,)], exponent).states == total:
-        return KnuthReport(k, n, exponent, total, ())
-    seeds = list(enumerate_partitions(n))
-    _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
-    bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
-    return KnuthReport(k, n, exponent, len(seeds), bad)
+    cycles, walk = _walk_graph(n)
+    if cycles == [(sigma,)] and walk.max_tail <= exponent:
+        return KnuthReport(k, n, exponent, walk.states, ())
+    bad = []
+    for lam in enumerate_partitions(n):
+        result = orbit(lam, bulgarian_step)
+        if result.cycle != (sigma,) or result.tail > exponent:
+            bad.append(lam)
+    return KnuthReport(k, n, exponent, walk.states, tuple(bad))
 
 
 @dataclass(frozen=True)

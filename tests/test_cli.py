@@ -21,6 +21,7 @@ from bsol.partitions import (
     format_parts,
 )
 from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, _space_size, main, parse_state, render_young
+from bsol.dynamics import _knuth_check
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,19 @@ def test_cli_orbit_step_bound_exit_4(capsys, monkeypatch):
     assert out == ""
     assert "no repetition within 2 steps" in err
     assert "--step-bound" not in err
+
+
+def test_cli_orbit_montreal_past_the_default_bound_exits_3(capsys):
+    # the Montreal state space is infinite, so the default bound proves
+    # nothing there: this 200-card start makes no repeat within 160,000
+    # moves, a property of the input, not a defect
+    state = "5,19,3,9,4,16,15,16,13,7,4,16,1,13,14,20,1,15,5,2,1,1"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbit", "--variant", "montreal", "--state", state)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err.startswith("error: no repetition within 160000 steps") and err.count("\n") == 1
+    assert "montreal orbits have no proven bound" in err
 
 
 def test_cli_orbit_user_step_bound_too_small_exits_2(capsys):
@@ -357,6 +371,17 @@ def test_cli_knuth(capsys):
     code, out, _ = run_cli(capsys, "knuth", "--k", "3")
     assert code == 0
     assert "holds" in out
+
+
+def test_cli_knuth_lists_every_exception_when_the_claim_fails(capsys, monkeypatch):
+    # at exponent 0 only the staircase itself reaches the staircase
+    monkeypatch.setattr(bsol.cli, "knuth_exponent_check", lambda k: _knuth_check(k, 0))
+    code, out, err = run_cli(capsys, "knuth", "--k", "3")
+    assert (code, err) == (4, "")
+    head, *exceptions = out.splitlines()
+    assert head == "k=3: B^0 reaches the staircase on all 11 partitions of 6: FAILS"
+    assert exceptions == [f"exception: {format_parts(lam)}"
+                          for lam in enumerate_partitions(6) if lam != (3, 2, 1)]
 
 
 def test_cli_toom(capsys):
@@ -627,6 +652,20 @@ sys.__stdout__.write(f"{code} {peak_kb}")
 """
 
 
+def child_peak_kb(argv):
+    """Run the CLI in a fresh child that reads its own high-water mark: its
+    ru_maxrss would never read below the peak of this test process, which
+    forked it."""
+    src = str(Path(bsol.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 0
+    return peak_kb
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 @pytest.mark.parametrize("argv", [
     ("graph", "--n", "55", "--format", "json"),
@@ -635,14 +674,14 @@ sys.__stdout__.write(f"{code} {peak_kb}")
 ])
 def test_exhaustive_commands_peak_under_40_mb(argv):
     # the Bulgarian and dual graphs are walked back from their cycles, so
-    # memory follows the walk's depth, not the 451,276 partitions of 55.
-    # The child reads its own high-water mark: its ru_maxrss would never
-    # read below the peak of this test process, which forked it.
-    src = str(Path(bsol.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
-                            capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    code, peak_kb = map(int, result.stdout.split())
-    assert code == 0
+    # memory follows the walk's depth, not the 451,276 partitions of 55
+    peak_kb = child_peak_kb(argv)
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_carolina_dot_peak_under_62_mb():
+    # the DOT edges stream from the successor map, a pair at a time, not
+    # from a list of all 131,072 pairs: about 55 MB, against 69 MB with one
+    peak_kb = child_peak_kb(("graph", "--variant", "carolina", "--n", "18", "--format", "dot"))
+    assert peak_kb < 62 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

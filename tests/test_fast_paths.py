@@ -371,7 +371,7 @@ def ge_counter_oracle(succ):
 
 def ge_reachability_oracle(n):
     seeds = list(enumerate_partitions(n))
-    succ, _, comp_of, cycles = _explore(seeds, bulgarian_step)
+    succ, _, comp_of, cycles = explore_oracle(seeds, bulgarian_step)
     indeg = Counter(succ.values())
     ge_by_comp = {}
     for s in seeds:
@@ -394,7 +394,7 @@ def ge_reachability_oracle(n):
 def explored_summary_oracle(n, variant):
     """The summary as the forward explorer builds it, edges kept."""
     game = get_variant(variant)
-    succ, dist, _, cycles = _explore(game.enumerate_states(n), game.step)
+    succ, dist, cycles = _explore(game.enumerate_states(n), game.step)
     return GraphSummary(
         n=n,
         variant=variant,
@@ -411,7 +411,7 @@ def knuth_explore_oracle(k, exponent):
     n = k * (k + 1) // 2
     sigma = staircase(k)
     seeds = list(enumerate_partitions(n))
-    _, dist, comp_of, _ = _explore(seeds, bulgarian_step)
+    _, dist, comp_of, _ = explore_oracle(seeds, bulgarian_step)
     bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
     return KnuthReport(k, n, exponent, len(seeds), bad)
 
@@ -669,9 +669,9 @@ ENUMERABLE = [
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
 def test_explorer_matches_the_two_map_walk(variant, n, L):
     game = get_variant(variant, L=L)
-    expected = explore_oracle(list(game.enumerate_states(n)), game.step)
+    succ, dist, _, cycles = explore_oracle(list(game.enumerate_states(n)), game.step)
     got = _explore(game.enumerate_states(n), game.step)
-    for mine, theirs in zip(got, expected, strict=True):
+    for mine, theirs in zip(got, (succ, dist, cycles), strict=True):
         assert list(mine.items()) == list(theirs.items())  # insertion order too
 
 
@@ -731,14 +731,19 @@ def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():
 
 def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
     # the walk counts what it reaches against p(n), never against the
-    # necklace count, so dropping a cycle must be caught
+    # necklace count, so dropping a cycle must be caught; at k = 4 the
+    # dropped cycle is the staircase, the only one
     cycles = bsol.dynamics._bulgarian_cycles
     monkeypatch.setattr(bsol.dynamics, "_bulgarian_cycles", lambda n: cycles(n)[1:])
-    for variant in ("bulgarian", "dual"):
-        assert main(["graph", "--variant", variant, "--n", "8"]) == 4
+    for argv, counted in [
+        (("graph", "--variant", "bulgarian", "--n", "8"), "7 states, not the 22 partitions of 8"),
+        (("graph", "--variant", "dual", "--n", "8"), "7 states, not the 22 partitions of 8"),
+        (("knuth", "--k", "4"), "0 states, not the 42 partitions of 10"),
+    ]:
+        assert main(list(argv)) == 4
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: the walk back from the cycles counted 7 states, not the 22 partitions of 8\n"
+        assert err == f"error: the walk back from the cycles counted {counted}\n"
     with pytest.raises(bsol.dynamics.WalkError):
         ge_reachability_check(8)
 
