@@ -6,6 +6,7 @@ from .partitions import (
     Partition,
     conjugate,
     enumerate_compositions,
+    enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
     enumerate_partitions_ascending,

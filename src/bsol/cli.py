@@ -212,8 +212,13 @@ def _cmd_orbit(args) -> int:
 def _cmd_graph(args) -> int:
     L = args.L if args.variant == "austrian" else None
     get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
-    _check_space(args.variant, args.n, L, _state_limit(args))
-    summary = analyze_state_space(args.n, args.variant, L=L, keep_edges=args.format == "dot")
+    limit = _state_limit(args)
+    _check_space(args.variant, args.n, L, limit)
+    # the seeds are sized above; montreal orbits leave them, so the
+    # explorer counts every state it visits against the limit too
+    summary = analyze_state_space(
+        args.n, args.variant, L=L, keep_edges=args.format == "dot", limit=limit
+    )
     if args.format in ("json", "dot"):
         chunks = summary.json_chunks() if args.format == "json" else summary.dot_chunks()
         sys.stdout.writelines(chunks)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, combinations, islice, permutations
+from math import inf
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .necklaces import list_necklaces, partition_count
@@ -31,9 +32,12 @@ from .operators import (
     servedio_yeh_step,
 )
 from .partitions import (
+    Composition,
+    EnumerationBoundError,
     Partition,
     conjugate,
     enumerate_compositions,
+    enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
     enumerate_partitions_ascending,
@@ -264,12 +268,13 @@ def _rotated(cycle) -> tuple:
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
 
 
-def _explore(seeds, step):
+def _explore(seeds, step, limit: float = inf):
     """Walk every seed to its cycle, memoizing across seeds.
 
     Returns (succ, dist, cycles): the successor of every visited state,
     its distance to the cycle, and the cycles keyed by their smallest
-    state, each rotated to start at it.
+    state, each rotated to start at it.  Orbits may leave the seeds, so
+    visiting more than limit states raises EnumerationBoundError.
     """
     succ: dict = {}
     dist: dict = {}
@@ -280,6 +285,10 @@ def _explore(seeds, step):
         while x not in succ:  # the one visited map: a state in it is in dist or on path
             path.append(x)
             nxt = succ[x] = step(x)
+            if len(succ) > limit:
+                raise EnumerationBoundError(
+                    f"the orbits visit more than the limit of {limit} states"
+                )
             x = nxt
         if x in dist:
             base = dist[x]
@@ -325,6 +334,22 @@ def _predecessors(mu: Partition) -> list[Partition]:
     return preds
 
 
+def _carolina_predecessors(beta: Composition) -> Iterator[Composition]:
+    """Every composition that one Carolina move sends to beta, made lazily.
+
+    For beta = (c, b_1, ..., b_m) they are the C(c, m) interleavings of
+    (b_1 + 1, ..., b_m + 1) with c - m piles of one card.  None exists
+    exactly when c < m, the Bulgarian rule for a Garden of Eden state.
+    """
+    c = beta[0]
+    up = [b + 1 for b in beta[1:]]
+    for places in combinations(range(c), len(up)):
+        alpha = [1] * c
+        for i, b in zip(places, up):
+            alpha[i] = b
+        yield tuple(alpha)
+
+
 class _Walk(NamedTuple):
     states: int  # states reached, cycles included
     max_tail: int  # the largest distance to a cycle among them
@@ -332,39 +357,51 @@ class _Walk(NamedTuple):
     smallest_ge: list  # per cycle, its smallest Garden of Eden state or None
 
 
-def _walk_back(cycles) -> _Walk:
-    """Walk the Bulgarian graph backwards from its cycles, depth first.
+def _off_cycle(cyc, predecessors) -> Iterator:
+    """The predecessors of a cycle's states that are not on the cycle."""
+    for i, x in enumerate(cyc):
+        on = cyc[i - 1]
+        for p in predecessors(x):
+            if p != on:
+                yield p
+
+
+def _walk_back(cycles, predecessors) -> _Walk:
+    """Walk a graph backwards from its cycles, depth first.
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
-    memory follows the walk's depth, not the number of states.
+    memory follows the walk's depth, not the number of states.  Each
+    stack entry iterates over one state's predecessors, which may be made
+    lazily: a partition or a composition x has none exactly when
+    x[0] < len(x) - 1, so no iterator is opened for a Garden of Eden state.
     """
     count = max_tail = ge_count = 0
     smallest_ge = []
     for cyc in cycles:
         count += len(cyc)
         first = None
-        roots = []
-        for i, x in enumerate(cyc):
-            roots.extend(p for p in _predecessors(x) if p != cyc[i - 1])
-        levels = [roots] if roots else []  # levels[d - 1]: pending at distance d
-        while levels:
-            level = levels[-1]
-            if not level:
-                levels.pop()
+        it = _off_cycle(cyc, predecessors)  # yields the states at distance len(stack) + 1
+        stack = []  # the iterators nearer the cycle, nearest first
+        while True:
+            x = next(it, None)
+            if x is None:
+                if not stack:
+                    break
+                it = stack.pop()
                 continue
-            x = level.pop()
             count += 1
-            d = len(levels)
-            preds = _predecessors(x)
-            if not preds:
+            if x[0] < len(x) - 1:
                 ge_count += 1
                 if first is None or x < first:
                     first = x
+                # a state with predecessors has one farther out, so the
+                # farthest state is a Garden of Eden state
+                if len(stack) >= max_tail:
+                    max_tail = len(stack) + 1
             else:
-                levels.append(preds)
-            if d > max_tail:
-                max_tail = d
+                stack.append(it)
+                it = iter(predecessors(x))
         smallest_ge.append(first)
     return _Walk(count, max_tail, ge_count, smallest_ge)
 
@@ -388,20 +425,44 @@ def _bulgarian_cycles(n: int) -> list[tuple[Partition, ...]]:
     return [cycles[key] for key in sorted(cycles)]
 
 
-def _walk_graph(n: int) -> tuple[list, _Walk]:
-    """The Bulgarian cycles on n cards and the walk back from them.
+def _carolina_cycles(n: int) -> list[tuple[Composition, ...]]:
+    """The cycles of the Carolina graph on compositions of n, each rotated
+    to start at its smallest state, in ascending order.
 
-    The walk checks itself: it must reach all p(n) partitions, or a cycle
-    was missed.  The component count is the number of cycles the walk
-    started from, never the closed form it is compared against.
+    Sorting commutes with the move, so a Carolina cycle sorts onto a whole
+    Bulgarian cycle (Griggs and Ho, "The cycling of partitions and
+    compositions under repeated shifts") and passes through some ordering
+    of that cycle's first state.  The orbit of each ordering ends on one.
     """
-    total = partition_count(n)
-    cycles = _bulgarian_cycles(n)
-    walk = _walk_back(cycles)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    cycles = {}
+    for bulgarian in _bulgarian_cycles(n):
+        for alpha in set(permutations(bulgarian[0])):
+            cyc = _rotated(orbit(alpha, carolina_step).cycle)
+            cycles[cyc[0]] = cyc
+    return [cycles[key] for key in sorted(cycles)]
+
+
+def _walk_graph(n: int, variant: str = "bulgarian") -> tuple[list, _Walk]:
+    """The Bulgarian or Carolina cycles on n cards and the walk back from them.
+
+    The walk checks itself: it must reach all p(n) partitions or all
+    2^(n-1) compositions, or a cycle was missed.  The component count is
+    the number of cycles the walk started from, never the closed form it
+    is compared against.
+    """
+    if variant == "carolina":
+        cycles = _carolina_cycles(n)
+        total, what, predecessors = 2 ** (n - 1), "compositions", _carolina_predecessors
+    else:
+        total, what = partition_count(n), "partitions"
+        cycles, predecessors = _bulgarian_cycles(n), _predecessors
+    walk = _walk_back(cycles, predecessors)
     if walk.states != total:
         raise WalkError(
             f"the walk back from the cycles counted {walk.states} states, "
-            f"not the {total} partitions of {n}"
+            f"not the {total} {what} of {n}"
         )
     return cycles, walk
 
@@ -431,8 +492,8 @@ class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n.
 
     edges is a stream for every variant, and so is ge_states for the
-    Bulgarian and dual games: each pass makes them afresh, in ascending
-    order of the source state, as a sorted tuple would hold them.
+    Bulgarian, dual and Carolina games: each pass makes them afresh, in
+    ascending order of the source state, as a sorted tuple would hold them.
     """
 
     n: int
@@ -490,24 +551,27 @@ def analyze_state_space(
     *,
     L: int | None = None,
     keep_edges: bool = False,
+    limit: float = inf,
 ) -> GraphSummary:
     """Exhaustively analyze every state of total n under one variant.
 
-    The Bulgarian and dual graphs are walked backwards from their cycles
-    (see _walk_back), in memory that follows the walk's depth.  The dual
-    move is the Bulgarian move conjugated, so its graph is the Bulgarian
-    graph with every state conjugated.  The other variants are explored
-    forwards from every state, in memory that follows the state count.
-    Orbits may pass through states outside the seed enumeration (the
-    Montreal stratum is not closed under its step); everything visited is
-    included in the counts.
+    The Bulgarian, dual and Carolina graphs are walked backwards from
+    their cycles (see _walk_back), in memory that follows the walk's
+    depth.  The dual move is the Bulgarian move conjugated, so its graph
+    is the Bulgarian graph with every state conjugated.  The Montreal and
+    Austrian graphs are explored forwards from every state, in memory that
+    follows the state count.  Orbits may pass through states outside the
+    seed enumeration (the Montreal stratum is not closed under its step);
+    everything visited is included in the counts, and visiting more than
+    limit states raises EnumerationBoundError.  The walked graphs hold
+    exactly p(n) or 2^(n-1) states, which a caller can size beforehand.
     """
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    if variant in ("bulgarian", "dual"):
+    if variant in ("bulgarian", "dual", "carolina"):
         return _walked_summary(n, game, keep_edges)
-    succ, dist, cycles = _explore(game.enumerate_states(n), game.step)
+    succ, dist, cycles = _explore(game.enumerate_states(n), game.step, limit)
     ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
     return GraphSummary(
         n=n,
@@ -523,11 +587,13 @@ def analyze_state_space(
 
 
 def _walked_summary(n: int, game: Variant, keep_edges: bool) -> GraphSummary:
-    cycles, walk = _walk_graph(n)
-    is_ge = garden_of_eden_test
+    cycles, walk = _walk_graph(n, game.name)
+    states, is_ge = enumerate_partitions_ascending, garden_of_eden_test
     if game.name == "dual":
         cycles = sorted(_rotated(tuple(map(conjugate, cyc))) for cyc in cycles)
         is_ge = _dual_ge
+    elif game.name == "carolina":  # the Bulgarian GE rule holds for compositions too
+        states = enumerate_compositions_ascending
     # each cycle must step round under the variant's own move; the dual
     # move refuses the empty partition of 0 cards here
     for cyc in cycles:
@@ -541,11 +607,10 @@ def _walked_summary(n: int, game: Variant, keep_edges: bool) -> GraphSummary:
         cycles=tuple(cycles),
         max_tail=walk.max_tail,
         ge_states=_Stream(
-            lambda: (lam for lam in enumerate_partitions_ascending(n) if lam and is_ge(lam)),
-            walk.ge_count,
+            lambda: (lam for lam in states(n) if lam and is_ge(lam)), walk.ge_count
         ),
         edges=_Stream(
-            lambda: ((lam, step(lam)) for lam in enumerate_partitions_ascending(n)), walk.states
+            lambda: ((lam, step(lam)) for lam in states(n)), walk.states
         ) if keep_edges else None,
     )
 

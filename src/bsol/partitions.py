@@ -185,6 +185,26 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
         parts.append(freed)
 
 
+def enumerate_compositions_ascending(n: int) -> Iterator[Composition]:
+    """Yield every composition of n into positive parts exactly once, in
+    ascending lexicographic order: the sorted enumerate_compositions, from
+    1^n up to (n).
+
+    The next larger composition keeps all but the last two parts, raises
+    the second to last by one and spreads what is left of the last as 1s.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        last = parts.pop()
+        if not parts:
+            return
+        parts[-1] += 1
+        parts += [1] * (last - 1)
+
+
 def enumerate_montreal_compositions(n: int) -> Iterator[Composition]:
     """Yield compositions of n with positive endpoints and interior zeros.
 

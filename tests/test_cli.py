@@ -246,6 +246,19 @@ def test_cli_graph_limit_exit_3(capsys):
     assert "22" in err
 
 
+@pytest.mark.parametrize("limit, code", [("4000", 3), ("5527", 3), ("5528", 0)])
+def test_cli_graph_montreal_counts_visited_states_against_the_limit(capsys, limit, code):
+    # the 3,432 seeds at n = 8 pass the limit, but their orbits visit 5,528 states
+    got, out, err = run_cli(capsys, "graph", "--variant", "montreal", "--n", "8",
+                            "--limit", limit)
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert err == f"error: the orbits visit more than the limit of {limit} states\n"
+    else:
+        assert "states: 5528" in out and err == ""
+
+
 def test_cli_graph_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("BSOL_MAX_STATES", "10")
     assert run_cli(capsys, "graph", "--n", "8")[0] == 3
@@ -680,8 +693,16 @@ def test_exhaustive_commands_peak_under_40_mb(argv):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_carolina_dot_peak_under_62_mb():
-    # the DOT edges stream from the successor map, a pair at a time, not
-    # from a list of all 131,072 pairs: about 55 MB, against 69 MB with one
+def test_carolina_dot_peak_under_25_mb():
+    # the Carolina graph is walked back from its cycles and its DOT lines
+    # come from the ascending compositions, so no map holds the 131,072
+    # states: about 17 MB, against 55 MB from the forward explorer's maps
     peak_kb = child_peak_kb(("graph", "--variant", "carolina", "--n", "18", "--format", "dot"))
-    assert peak_kb < 62 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    assert peak_kb < 25 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_carolina_n21_peak_under_40_mb():
+    # 1,048,576 compositions; the forward explorer's maps took 340 MB at this n
+    peak_kb = child_peak_kb(("graph", "--variant", "carolina", "--n", "21"))
+    assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

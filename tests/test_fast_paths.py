@@ -10,10 +10,10 @@ copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
 Montreal recursion), the copy that was folded away is the oracle for the
 one that stayed.  The graph stages that became single passes (the
 explorer's one visited map, the Montreal move's loop, the composition
-loop) keep their earlier versions as oracles too.  The Bulgarian and dual
-graphs, walked back from their cycles, are compared with the forward
-explorer that still serves the other variants.  The exhaustive commands'
-stdout is pinned by SHA-256.
+loop) keep their earlier versions as oracles too.  The Bulgarian, dual
+and Carolina graphs, walked back from their cycles, are compared with the
+forward explorer that still serves the Montreal and Austrian graphs.  The
+exhaustive commands' stdout is pinned by SHA-256.
 """
 
 import hashlib
@@ -34,6 +34,7 @@ from bsol.dynamics import (
     ReachabilityReport,
     StepBoundError,
     ToomReport,
+    _carolina_predecessors,
     _explore,
     _garden_of_eden,
     _knuth_check,
@@ -53,6 +54,7 @@ from bsol.operators import (
     MultiplayerState,
     PointerState,
     bulgarian_step,
+    carolina_step,
     ejs_masked_step,
     montreal_step,
     popov_masked_step,
@@ -60,6 +62,7 @@ from bsol.operators import (
 from bsol.partitions import (
     conjugate,
     enumerate_compositions,
+    enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
     enumerate_partitions_ascending,
@@ -392,7 +395,8 @@ def ge_reachability_oracle(n):
 
 
 def explored_summary_oracle(n, variant):
-    """The summary as the forward explorer builds it, edges kept."""
+    """The summary as the forward explorer builds it, edges kept; for the
+    Carolina graph it explores all 2^(n-1) compositions."""
     game = get_variant(variant)
     succ, dist, cycles = _explore(game.enumerate_states(n), game.step)
     return GraphSummary(
@@ -723,6 +727,37 @@ def test_walk_matches_the_forward_explorer(variant, first):
         assert walked.to_dot() == explored.to_dot(), n
 
 
+def test_carolina_walk_matches_the_forward_explorer():
+    for n in range(1, 17):
+        walked = analyze_state_space(n, "carolina", keep_edges=True)
+        explored = explored_summary_oracle(n, "carolina")
+        assert walked.state_count == explored.state_count == 2 ** (n - 1), n
+        assert walked.cycles == explored.cycles, n
+        assert walked.max_tail == explored.max_tail, n
+        assert tuple(walked.ge_states) == explored.ge_states, n
+        assert len(walked.ge_states) == len(explored.ge_states), n
+        assert walked.to_json() == explored.to_json(), n
+        assert walked.to_dot() == explored.to_dot(), n
+
+
+def test_carolina_predecessors_match_brute_force_preimages():
+    for n in range(1, 13):
+        preimages = Counter(map(carolina_step, enumerate_compositions(n)))
+        for beta in enumerate_compositions(n):
+            preds = list(_carolina_predecessors(beta))
+            assert all(carolina_step(alpha) == beta for alpha in preds), beta
+            assert len(set(preds)) == len(preds) == preimages[beta], beta
+            assert (not preds) == (beta[0] < len(beta) - 1), beta
+
+
+def test_ascending_compositions_are_the_sorted_compositions():
+    for n in range(1, 17):
+        assert same_stream(enumerate_compositions_ascending(n),
+                           sorted(enumerate_compositions(n)))
+    with pytest.raises(ValueError, match="positive"):
+        next(enumerate_compositions_ascending(0))
+
+
 def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():
     for k in range(1, 8):
         for exponent in range(k * (k - 1) + 1):
@@ -739,6 +774,8 @@ def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
         (("graph", "--variant", "bulgarian", "--n", "8"), "7 states, not the 22 partitions of 8"),
         (("graph", "--variant", "dual", "--n", "8"), "7 states, not the 22 partitions of 8"),
         (("knuth", "--k", "4"), "0 states, not the 42 partitions of 10"),
+        # every Carolina cycle sorts onto a Bulgarian one, so it goes too
+        (("graph", "--variant", "carolina", "--n", "10"), "0 states, not the 512 compositions of 10"),
     ]:
         assert main(list(argv)) == 4
         out, err = capsys.readouterr()
@@ -785,10 +822,10 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
     assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
     # the variant registry is built per call, so it holds the patched enumerators;
-    # the Bulgarian and dual graphs are walked back from their cycles instead
+    # the Bulgarian, dual and Carolina graphs are walked back from their cycles instead
     for variant, L, name, times in [("bulgarian", None, "enumerate_partitions", 0),
                                     ("dual", None, "enumerate_partitions", 0),
-                                    ("carolina", None, "enumerate_compositions", 1),
+                                    ("carolina", None, "enumerate_compositions", 0),
                                     ("montreal", None, "enumerate_montreal_compositions", 1),
                                     ("austrian", 3, "enumerate_partitions", 3)]:
         calls.clear()
@@ -856,8 +893,18 @@ GOLDEN_WALK = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest",
-                         GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY + GOLDEN_WALK)
+# recorded before the Carolina graph was walked backwards from its cycles
+# instead of explored forwards from every composition
+GOLDEN_CAROLINA_WALK = [
+    (("graph", "--variant", "carolina", "--n", "16", "--format", "json"),
+     "b291474401b784152572679265fcc1f3ad39f5af34d4c4284982f46c84d859d4"),
+    (("graph", "--variant", "carolina", "--n", "14", "--format", "dot"),
+     "4cc8763e91512dfb6fa111ad1959da24b19f59b3d988200a1b61eb2b12c00678"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY
+                         + GOLDEN_WALK + GOLDEN_CAROLINA_WALK)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
