@@ -31,7 +31,7 @@ from .dynamics import (
     state_total,
     toom_path,
 )
-from .necklaces import list_necklaces, necklace_count, partition_count
+from .necklaces import _austrian_state_count, list_necklaces, necklace_count, partition_count
 from .operators import AustrianState, PointerState
 from .partitions import (
     EnumerationBoundError,
@@ -104,15 +104,6 @@ def render_young(lam: Partition, style: str = "rows") -> str:
 
 # --- state-space size guard ---
 
-def _bounded_partition_count(n: int, cap: int) -> int:
-    # partitions of n with parts <= cap
-    table = [1] + [0] * n
-    for part in range(1, min(cap, n) + 1):
-        for m in range(part, n + 1):
-            table[m] += table[m - part]
-    return table[n]
-
-
 def _space_size(variant: str, n: int, L: int | None) -> int:
     if variant in ("bulgarian", "dual"):
         return partition_count(n)
@@ -122,9 +113,7 @@ def _space_size(variant: str, n: int, L: int | None) -> int:
         # (n), then C(n-2+j, j) with j = 1..n-1 more parts: hockey-stick sum
         return comb(2 * n - 2, n - 1) if n else 1
     if variant == "austrian":
-        return sum(
-            _bounded_partition_count(n - bank, L) for bank in range(min(L - 1, n) + 1)
-        )
+        return _austrian_state_count(n, L)
     raise ValueError(f"variant {variant!r} has no state enumeration")
 
 
@@ -214,8 +203,8 @@ def _cmd_graph(args) -> int:
     get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
     limit = _state_limit(args)
     _check_space(args.variant, args.n, L, limit)
-    # the seeds are sized above; montreal orbits leave them, so the
-    # explorer counts every state it visits against the limit too
+    # the seeds are sized above; montreal orbits leave them, so every
+    # state they visit counts against the limit too
     summary = analyze_state_space(
         args.n, args.variant, L=L, keep_edges=args.format == "dot", limit=limit
     )

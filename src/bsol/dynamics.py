@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, combinations, islice, permutations
 from math import inf
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .necklaces import list_necklaces, partition_count
+from .necklaces import _austrian_state_count, list_necklaces, partition_count
 from .operators import (
     AustrianState,
     MultiplayerState,
@@ -222,13 +223,10 @@ class Variant:
         return self.enumerate_states is not None
 
 
-def _make_austrian_enum(L: int):
-    def enum(n: int) -> Iterator[State]:
-        for bank in range(min(L - 1, n) + 1):
-            for piles in enumerate_partitions(n - bank, max_part=L):
-                yield AustrianState(piles, bank, L)
-
-    return enum
+def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
+    for bank in range(min(L - 1, n) + 1):
+        for piles in enumerate_partitions(n - bank, max_part=L):
+            yield AustrianState(piles, bank, L)
 
 
 def get_variant(name: str, *, L: int | None = None) -> Variant:
@@ -243,7 +241,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             raise ValueError("the austrian variant requires the machine lifetime L")
         if L < 1:
             raise ValueError(f"machine lifetime must be positive, got {L}")
-        return Variant("austrian", austrian_step, "austrian", _make_austrian_enum(L))
+        return Variant("austrian", austrian_step, "austrian", partial(_austrian_states, L=L))
     fixed = {
         "bulgarian": Variant("bulgarian", bulgarian_step, "partition", enumerate_partitions),
         "dual": Variant("dual", dual_step, "partition", enumerate_partitions),
@@ -266,49 +264,6 @@ def _rotated(cycle) -> tuple:
     """The cycle rotated to start at its smallest state."""
     pivot = cycle.index(min(cycle))
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
-
-
-def _explore(seeds, step, limit: float = inf):
-    """Walk every seed to its cycle, memoizing across seeds.
-
-    Returns (succ, dist, cycles): the successor of every visited state,
-    its distance to the cycle, and the cycles keyed by their smallest
-    state, each rotated to start at it.  Orbits may leave the seeds, so
-    visiting more than limit states raises EnumerationBoundError.
-    """
-    succ: dict = {}
-    dist: dict = {}
-    cycles: dict = {}
-    for seed in seeds:
-        path: list = []
-        x = seed
-        while x not in succ:  # the one visited map: a state in it is in dist or on path
-            path.append(x)
-            nxt = succ[x] = step(x)
-            if len(succ) > limit:
-                raise EnumerationBoundError(
-                    f"the orbits visit more than the limit of {limit} states"
-                )
-            x = nxt
-        if x in dist:
-            base = dist[x]
-        else:  # closed a brand-new cycle inside the current path
-            start = path.index(x)
-            cyc = _rotated(path[start:])
-            cycles[cyc[0]] = cyc
-            for s in path[start:]:
-                dist[s] = 0
-            del path[start:]
-            base = 0
-        for back, s in enumerate(reversed(path), 1):
-            dist[s] = base + back
-    return succ, dist, cycles
-
-
-def _garden_of_eden(succ: dict) -> list:
-    """The visited states that no visited state steps to, ascending."""
-    targets = set(succ.values())
-    return sorted(s for s in succ if s not in targets)
 
 
 def _predecessors(mu: Partition) -> list[Partition]:
@@ -350,6 +305,27 @@ def _carolina_predecessors(beta: Composition) -> Iterator[Composition]:
         yield tuple(alpha)
 
 
+def _austrian_predecessors(state: AustrianState) -> Iterator[AustrianState]:
+    """Every Austrian state that one move sends to state, made lazily.
+
+    Its q piles of L cards were just bought, and its m piles below L each
+    had one card more.  With s = qL + bank - m, a predecessor holds those
+    m piles plus one card each, z piles of one card and s - z in the bank,
+    for every z that leaves the bank in 0..L-1: none exactly when s < 0.
+    """
+    L, piles = state.L, state.piles
+    q = piles.count(L)
+    s = q * (L + 1) + state.bank - len(piles)  # m = len(piles) - q
+    up = tuple([p + 1 for p in piles[q:]])
+    for z in range(max(0, s - L + 1), s + 1):
+        yield AustrianState(up + (1,) * z, s - z, L)
+
+
+def _austrian_ge(state: AustrianState) -> bool:
+    # s < 0 in _austrian_predecessors
+    return state.piles.count(state.L) * (state.L + 1) + state.bank < len(state.piles)
+
+
 class _Walk(NamedTuple):
     states: int  # states reached, cycles included
     max_tail: int  # the largest distance to a cycle among them
@@ -366,15 +342,15 @@ def _off_cycle(cyc, predecessors) -> Iterator:
                 yield p
 
 
-def _walk_back(cycles, predecessors) -> _Walk:
+def _walk_back(cycles, predecessors, is_ge) -> _Walk:
     """Walk a graph backwards from its cycles, depth first.
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
     memory follows the walk's depth, not the number of states.  Each
     stack entry iterates over one state's predecessors, which may be made
-    lazily: a partition or a composition x has none exactly when
-    x[0] < len(x) - 1, so no iterator is opened for a Garden of Eden state.
+    lazily: is_ge(x) is true exactly when x has none, so no iterator is
+    opened for a Garden of Eden state.
     """
     count = max_tail = ge_count = 0
     smallest_ge = []
@@ -391,7 +367,7 @@ def _walk_back(cycles, predecessors) -> _Walk:
                 it = stack.pop()
                 continue
             count += 1
-            if x[0] < len(x) - 1:
+            if is_ge(x):
                 ge_count += 1
                 if first is None or x < first:
                     first = x
@@ -417,12 +393,11 @@ def _bulgarian_cycles(n: int) -> list[tuple[Partition, ...]]:
     if n == 0:
         return [((),)]
     k, r = triangular_decompose(n)
-    cycles = {}
+    cycles = set()
     for necklace in list_necklaces(k, r):
         piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
-        cyc = _rotated(orbit(tuple(p for p in piles if p), bulgarian_step).cycle)
-        cycles[cyc[0]] = cyc
-    return [cycles[key] for key in sorted(cycles)]
+        cycles.add(_rotated(orbit(tuple(p for p in piles if p), bulgarian_step).cycle))
+    return sorted(cycles)
 
 
 def _carolina_cycles(n: int) -> list[tuple[Composition, ...]]:
@@ -436,35 +411,77 @@ def _carolina_cycles(n: int) -> list[tuple[Composition, ...]]:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cycles = {}
-    for bulgarian in _bulgarian_cycles(n):
-        for alpha in set(permutations(bulgarian[0])):
-            cyc = _rotated(orbit(alpha, carolina_step).cycle)
-            cycles[cyc[0]] = cyc
-    return [cycles[key] for key in sorted(cycles)]
+    return sorted({
+        _rotated(orbit(alpha, carolina_step).cycle)
+        for bulgarian in _bulgarian_cycles(n)
+        for alpha in set(permutations(bulgarian[0]))
+    })
 
 
-def _walk_graph(n: int, variant: str = "bulgarian") -> tuple[list, _Walk]:
-    """The Bulgarian or Carolina cycles on n cards and the walk back from them.
+def _austrian_cycles(n: int, L: int) -> list[tuple[AustrianState, ...]]:
+    """The one cycle of the Austrian game (Akin and Davis, "Bulgarian
+    solitaire"), rotated: the one the first enumerated state's orbit ends on."""
+    return [_rotated(orbit(x, austrian_step).cycle) for x in islice(_austrian_states(n, L), 1)]
 
-    The walk checks itself: it must reach all p(n) partitions or all
-    2^(n-1) compositions, or a cycle was missed.  The component count is
-    the number of cycles the walk started from, never the closed form it
-    is compared against.
+
+def _montreal_cycles(seeds, step: StepFn, limit: float) -> list[tuple[Composition, ...]]:
+    """The Montreal cycles through the seeds, each rotated, in ascending order.
+
+    Every Montreal state lies on a cycle (Cannings and Haigh, "Montreal
+    solitaire"), so each seed not seen yet is orbited until it comes back;
+    meeting any other state seen before raises WalkError.  Orbits leave
+    the seeds, so visiting more than limit states raises
+    EnumerationBoundError.
     """
+    seen, cycles = set(), []
+    for seed in seeds:
+        cyc, x = [], seed
+        while x not in seen:
+            seen.add(x)
+            if len(seen) > limit:
+                raise EnumerationBoundError(
+                    f"the orbits visit more than the limit of {limit} states"
+                )
+            cyc.append(x)
+            x = step(x)
+        if x != seed:
+            raise WalkError(f"the orbit of {state_label(seed)} does not come back to it")
+        if cyc:
+            cycles.append(_rotated(cyc))
+    return sorted(cycles)
+
+
+def _walk_graph(n: int, variant: str = "bulgarian", L: int | None = None):
+    """A graph on n cards (the Bulgarian one also for the dual game) walked
+    back from its cycles: (cycles, walk, states, is_ge), where states()
+    makes every state afresh, ascending, and is_ge is the GE rule.
+
+    The walk checks itself: it must reach all p(n) partitions, 2^(n-1)
+    compositions or Austrian states, or a cycle was missed.  The component
+    count is the number of cycles the walk started from, never the closed
+    form it is compared against.
+    """
+    states, is_ge = partial(enumerate_partitions_ascending, n), garden_of_eden_test
     if variant == "carolina":
-        cycles = _carolina_cycles(n)
-        total, what, predecessors = 2 ** (n - 1), "compositions", _carolina_predecessors
+        cycles, predecessors = _carolina_cycles(n), _carolina_predecessors
+        states = partial(enumerate_compositions_ascending, n)
+        total, what = 2 ** (n - 1), f"compositions of {n}"
+    elif variant == "austrian":
+        cycles, predecessors, is_ge = _austrian_cycles(n, L), _austrian_predecessors, _austrian_ge
+
+        def states():
+            return sorted(_austrian_states(n, L))
+
+        total, what = _austrian_state_count(n, L), f"austrian states of {n} with L = {L}"
     else:
-        total, what = partition_count(n), "partitions"
         cycles, predecessors = _bulgarian_cycles(n), _predecessors
-    walk = _walk_back(cycles, predecessors)
+        total, what = partition_count(n), f"partitions of {n}"
+    walk = _walk_back(cycles, predecessors, is_ge)
     if walk.states != total:
         raise WalkError(
-            f"the walk back from the cycles counted {walk.states} states, "
-            f"not the {total} {what} of {n}"
+            f"the walk back from the cycles counted {walk.states} states, not the {total} {what}"
         )
-    return cycles, walk
+    return cycles, walk, states, is_ge
 
 
 class _Stream:
@@ -491,9 +508,9 @@ def _dual_ge(lam: Partition) -> bool:
 class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n.
 
-    edges is a stream for every variant, and so is ge_states for the
-    Bulgarian, dual and Carolina games: each pass makes them afresh, in
-    ascending order of the source state, as a sorted tuple would hold them.
+    edges is a stream for every variant, and so is ge_states unless it is
+    empty: each pass makes them afresh, in ascending order of the source
+    state, as a sorted tuple would hold them.
     """
 
     n: int
@@ -555,63 +572,45 @@ def analyze_state_space(
 ) -> GraphSummary:
     """Exhaustively analyze every state of total n under one variant.
 
-    The Bulgarian, dual and Carolina graphs are walked backwards from
-    their cycles (see _walk_back), in memory that follows the walk's
+    The Bulgarian, dual, Carolina and Austrian graphs are walked backwards
+    from their cycles (see _walk_graph), in memory that follows the walk's
     depth.  The dual move is the Bulgarian move conjugated, so its graph
-    is the Bulgarian graph with every state conjugated.  The Montreal and
-    Austrian graphs are explored forwards from every state, in memory that
-    follows the state count.  Orbits may pass through states outside the
-    seed enumeration (the Montreal stratum is not closed under its step);
-    everything visited is included in the counts, and visiting more than
-    limit states raises EnumerationBoundError.  The walked graphs hold
-    exactly p(n) or 2^(n-1) states, which a caller can size beforehand.
+    is the Bulgarian graph with every state conjugated.  The Montreal
+    graph is the cycles through its seeds (see _montreal_cycles), which
+    pass through states outside the seed enumeration; everything visited
+    is counted, and visiting more than limit states raises
+    EnumerationBoundError.  The walked graphs hold exactly the states
+    their enumerations count, which a caller can size beforehand.
     """
     game = get_variant(variant, L=L)
     if not game.enumerable:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    if variant in ("bulgarian", "dual", "carolina"):
-        return _walked_summary(n, game, keep_edges)
-    succ, dist, cycles = _explore(game.enumerate_states(n), game.step, limit)
-    ordered_cycles = tuple(cycles[key] for key in sorted(cycles))
-    return GraphSummary(
-        n=n,
-        variant=variant,
-        state_count=len(succ),
-        cycles=ordered_cycles,
-        max_tail=max(dist.values(), default=0),
-        ge_states=tuple(_garden_of_eden(succ)),
-        edges=_Stream(
-            lambda: ((s, succ[s]) for s in sorted(succ)), len(succ)
-        ) if keep_edges else None,
-    )
+    if variant == "montreal":
+        cycles = _montreal_cycles(game.enumerate_states(n), game.step, limit)
+        walk = _Walk(sum(map(len, cycles)), 0, 0, [None] * len(cycles))  # no tails, no GE
 
-
-def _walked_summary(n: int, game: Variant, keep_edges: bool) -> GraphSummary:
-    cycles, walk = _walk_graph(n, game.name)
-    states, is_ge = enumerate_partitions_ascending, garden_of_eden_test
-    if game.name == "dual":
-        cycles = sorted(_rotated(tuple(map(conjugate, cyc))) for cyc in cycles)
-        is_ge = _dual_ge
-    elif game.name == "carolina":  # the Bulgarian GE rule holds for compositions too
-        states = enumerate_compositions_ascending
-    # each cycle must step round under the variant's own move; the dual
-    # move refuses the empty partition of 0 cards here
-    for cyc in cycles:
-        if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
-            raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
+        def states():
+            return sorted(chain.from_iterable(cycles))
+    else:
+        cycles, walk, states, is_ge = _walk_graph(n, variant, L)
+        if variant == "dual":
+            cycles = sorted(_rotated(tuple(map(conjugate, cyc))) for cyc in cycles)
+            is_ge = _dual_ge
+        # each cycle must step round under the variant's own move; the dual
+        # move refuses the empty partition of 0 cards here
+        for cyc in cycles:
+            if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+                raise WalkError(f"{state_label(cyc[0])} does not start a {variant} cycle")
     step = game.step
     return GraphSummary(
         n=n,
-        variant=game.name,
+        variant=variant,
         state_count=walk.states,
         cycles=tuple(cycles),
         max_tail=walk.max_tail,
-        ge_states=_Stream(
-            lambda: (lam for lam in states(n) if lam and is_ge(lam)), walk.ge_count
-        ),
-        edges=_Stream(
-            lambda: ((lam, step(lam)) for lam in states(n)), walk.states
-        ) if keep_edges else None,
+        ge_states=_Stream(lambda: filter(is_ge, states()), walk.ge_count) if walk.ge_count else (),
+        edges=_Stream(lambda: ((x, step(x)) for x in states()), walk.states)
+        if keep_edges else None,
     )
 
 
@@ -660,7 +659,7 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    cycles, walk = _walk_graph(n)
+    cycles, walk, _, _ = _walk_graph(n)
     if cycles == [(sigma,)] and walk.max_tail <= exponent:
         return KnuthReport(k, n, exponent, walk.states, ())
     bad = []
@@ -728,7 +727,7 @@ def ge_reachability_check(n: int) -> ReachabilityReport:
     counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    cycles, walk = _walk_graph(n)
+    cycles, walk, _, _ = _walk_graph(n)
     witnesses = []
     for cyc, ge in zip(cycles, walk.smallest_ge):
         path = () if ge is None else orbit(ge, bulgarian_step).path

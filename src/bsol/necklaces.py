@@ -165,3 +165,13 @@ def partition_count(n: int) -> int:
             j += 1
         _pcount.append(total)
     return _pcount[n]
+
+
+def _austrian_state_count(n: int, L: int) -> int:
+    # table[m] counts the partitions of m into parts of at most L cards;
+    # the bank holds 0..L-1 of the n cards
+    table = [1] + [0] * n
+    for part in range(1, min(L, n) + 1):
+        for m in range(part, n + 1):
+            table[m] += table[m - part]
+    return sum(table[n - bank] for bank in range(min(L - 1, n) + 1))

@@ -706,3 +706,11 @@ def test_carolina_n21_peak_under_40_mb():
     # 1,048,576 compositions; the forward explorer's maps took 340 MB at this n
     peak_kb = child_peak_kb(("graph", "--variant", "carolina", "--n", "21"))
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_austrian_n70_peak_under_40_mb():
+    # the Austrian graph is walked back from its one cycle, so no map holds
+    # its 198,963 states; the forward explorer's maps took 166 MB here
+    peak_kb = child_peak_kb(("graph", "--variant", "austrian", "--n", "70", "--L", "6"))
+    assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

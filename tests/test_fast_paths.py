@@ -9,11 +9,11 @@ compared with json.dumps and the old DOT loop.  Where a primitive had two
 copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
 Montreal recursion), the copy that was folded away is the oracle for the
 one that stayed.  The graph stages that became single passes (the
-explorer's one visited map, the Montreal move's loop, the composition
-loop) keep their earlier versions as oracles too.  The Bulgarian, dual
-and Carolina graphs, walked back from their cycles, are compared with the
-forward explorer that still serves the Montreal and Austrian graphs.  The
-exhaustive commands' stdout is pinned by SHA-256.
+Montreal move's loop, the composition loop) keep their earlier versions
+as oracles too.  Every graph, walked back from its cycles or, for
+Montreal, read off its seeds' cycles, is compared with the forward
+explorer that once served them all.  The exhaustive commands' stdout is
+pinned by SHA-256.
 """
 
 import hashlib
@@ -34,9 +34,9 @@ from bsol.dynamics import (
     ReachabilityReport,
     StepBoundError,
     ToomReport,
+    _austrian_ge,
+    _austrian_predecessors,
     _carolina_predecessors,
-    _explore,
-    _garden_of_eden,
     _knuth_check,
     _predecessors,
     _state_json,
@@ -53,6 +53,7 @@ from bsol.operators import (
     AustrianState,
     MultiplayerState,
     PointerState,
+    austrian_step,
     bulgarian_step,
     carolina_step,
     ejs_masked_step,
@@ -394,20 +395,31 @@ def ge_reachability_oracle(n):
     return ReachabilityReport(n, holds, tuple(witnesses))
 
 
-def explored_summary_oracle(n, variant):
-    """The summary as the forward explorer builds it, edges kept; for the
-    Carolina graph it explores all 2^(n-1) compositions."""
-    game = get_variant(variant)
-    succ, dist, cycles = _explore(game.enumerate_states(n), game.step)
+def explored_summary_oracle(n, variant, L=None):
+    """The summary as the forward explorer builds it from every state,
+    edges kept; the Montreal orbits leave the seeds, and every state
+    they visit is counted."""
+    game = get_variant(variant, L=L)
+    succ, dist, _, cycles = explore_oracle(game.enumerate_states(n), game.step)
     return GraphSummary(
         n=n,
         variant=variant,
         state_count=len(succ),
         cycles=tuple(cycles[key] for key in sorted(cycles)),
         max_tail=max(dist.values(), default=0),
-        ge_states=tuple(_garden_of_eden(succ)),
+        ge_states=ge_counter_oracle(succ),
         edges=tuple(sorted(succ.items())),
     )
+
+
+def assert_same_graph(walked, explored):
+    assert walked.state_count == explored.state_count
+    assert walked.cycles == explored.cycles
+    assert walked.max_tail == explored.max_tail
+    assert tuple(walked.ge_states) == explored.ge_states
+    assert len(walked.ge_states) == len(explored.ge_states)
+    assert walked.to_json() == explored.to_json()
+    assert walked.to_dot() == explored.to_dot()
 
 
 def knuth_explore_oracle(k, exponent):
@@ -672,20 +684,18 @@ ENUMERABLE = [
 
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
 def test_explorer_matches_the_two_map_walk(variant, n, L):
-    game = get_variant(variant, L=L)
-    succ, dist, _, cycles = explore_oracle(list(game.enumerate_states(n)), game.step)
-    got = _explore(game.enumerate_states(n), game.step)
-    for mine, theirs in zip(got, (succ, dist, cycles), strict=True):
-        assert list(mine.items()) == list(theirs.items())  # insertion order too
+    # the one graph explorer, the walk back from the cycles or, for Montreal,
+    # its seeds' cycles, against the forward walk with its successor and
+    # distance maps
+    walked = analyze_state_space(n, variant, L=L, keep_edges=True)
+    assert_same_graph(walked, explored_summary_oracle(n, variant, L))
 
 
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
 def test_ge_rule_matches_counter_pass(variant, n, L):
     game = get_variant(variant, L=L)
-    succ = _explore(list(game.enumerate_states(n)), game.step)[0]
-    expected = ge_counter_oracle(succ)
-    assert tuple(_garden_of_eden(succ)) == expected
-    assert tuple(analyze_state_space(n, variant, L=L).ge_states) == expected
+    succ = explore_oracle(game.enumerate_states(n), game.step)[0]
+    assert tuple(analyze_state_space(n, variant, L=L).ge_states) == ge_counter_oracle(succ)
 
 
 def test_ge_reachability_matches_counter_pass():
@@ -717,27 +727,28 @@ def test_ascending_enumeration_is_the_sorted_partitions():
 def test_walk_matches_the_forward_explorer(variant, first):
     for n in range(first, 41):
         walked = analyze_state_space(n, variant, keep_edges=True)
-        explored = explored_summary_oracle(n, variant)
-        assert walked.state_count == explored.state_count, n
-        assert walked.cycles == explored.cycles, n
-        assert walked.max_tail == explored.max_tail, n
-        assert tuple(walked.ge_states) == explored.ge_states, n
-        assert len(walked.ge_states) == len(explored.ge_states), n
-        assert walked.to_json() == explored.to_json(), n
-        assert walked.to_dot() == explored.to_dot(), n
+        assert_same_graph(walked, explored_summary_oracle(n, variant))
 
 
 def test_carolina_walk_matches_the_forward_explorer():
     for n in range(1, 17):
         walked = analyze_state_space(n, "carolina", keep_edges=True)
-        explored = explored_summary_oracle(n, "carolina")
-        assert walked.state_count == explored.state_count == 2 ** (n - 1), n
-        assert walked.cycles == explored.cycles, n
-        assert walked.max_tail == explored.max_tail, n
-        assert tuple(walked.ge_states) == explored.ge_states, n
-        assert len(walked.ge_states) == len(explored.ge_states), n
-        assert walked.to_json() == explored.to_json(), n
-        assert walked.to_dot() == explored.to_dot(), n
+        assert walked.state_count == 2 ** (n - 1), n
+        assert_same_graph(walked, explored_summary_oracle(n, "carolina"))
+
+
+def test_austrian_predecessors_match_brute_force_preimages():
+    for L in range(1, 8):
+        for n in range(25):
+            states = list(get_variant("austrian", L=L).enumerate_states(n))
+            preimages = {}
+            for x in states:
+                preimages.setdefault(austrian_step(x), []).append(x)
+            for y in states:
+                preds = list(_austrian_predecessors(y))
+                assert len(set(preds)) == len(preds), y
+                assert sorted(preds) == sorted(preimages.get(y, [])), y
+                assert _austrian_ge(y) == (not preds), y
 
 
 def test_carolina_predecessors_match_brute_force_preimages():
@@ -783,6 +794,24 @@ def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
         assert err == f"error: the walk back from the cycles counted {counted}\n"
     with pytest.raises(bsol.dynamics.WalkError):
         ge_reachability_check(8)
+    # the Austrian walk counts against the states of every bank, not the one cycle
+    austrian = bsol.dynamics._austrian_cycles
+    monkeypatch.setattr(bsol.dynamics, "_austrian_cycles", lambda n, L: austrian(n, L)[1:])
+    assert main(["graph", "--variant", "austrian", "--n", "10", "--L", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the walk back from the cycles counted 0 states, "
+                   "not the 36 austrian states of 10 with L = 3\n")
+
+
+def test_a_move_that_is_not_injective_fails_the_montreal_cycles_with_exit_4(capsys, monkeypatch):
+    # every Montreal state must lie on a cycle: under a move that sends all
+    # of the stratum to one pile, the orbit of 5 comes back, that of 4,1 does not
+    monkeypatch.setattr(bsol.dynamics, "montreal_step", lambda alpha: (sum(alpha),))
+    assert main(["graph", "--variant", "montreal", "--n", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the orbit of 4,1 does not come back to it\n"
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
@@ -822,12 +851,14 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
     assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
     # the variant registry is built per call, so it holds the patched enumerators;
-    # the Bulgarian, dual and Carolina graphs are walked back from their cycles instead
+    # the Bulgarian, dual and Carolina graphs are walked back from their cycles
+    # instead, and so is the Austrian graph, which enumerates only the first of
+    # its states, the one whose orbit gives its cycle (bank 0: one call)
     for variant, L, name, times in [("bulgarian", None, "enumerate_partitions", 0),
                                     ("dual", None, "enumerate_partitions", 0),
                                     ("carolina", None, "enumerate_compositions", 0),
                                     ("montreal", None, "enumerate_montreal_compositions", 1),
-                                    ("austrian", 3, "enumerate_partitions", 3)]:
+                                    ("austrian", 3, "enumerate_partitions", 1)]:
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
@@ -903,8 +934,21 @@ GOLDEN_CAROLINA_WALK = [
 ]
 
 
+# recorded before the Austrian graph was walked backwards from its cycle and
+# the Montreal graph read off its seeds' cycles, instead of both explored
+# forwards from every state
+GOLDEN_ONE_EXPLORER = [
+    (("graph", "--variant", "austrian", "--n", "40", "--L", "6", "--format", "json"),
+     "2b1f5f2038af59fe72b0e7266afe5813fbf2ba65e3c4cddec3387956227bbeef"),
+    (("graph", "--variant", "austrian", "--n", "14", "--L", "3", "--format", "dot"),
+     "10e07d007578f3b15250fa66de7b23edcce2fc0d1548bcb951a88a9f1a41345f"),
+    (("graph", "--variant", "montreal", "--n", "9", "--format", "dot"),
+     "a73c0a82a1f2268e46f691de1784848faf7fd8f3faa00af86d05f1654a12bd3f"),
+]
+
+
 @pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY
-                         + GOLDEN_WALK + GOLDEN_CAROLINA_WALK)
+                         + GOLDEN_WALK + GOLDEN_CAROLINA_WALK + GOLDEN_ONE_EXPLORER)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
