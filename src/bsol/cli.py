@@ -322,13 +322,14 @@ def _cmd_simulate(args) -> int:
             f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
         )
     k = triangular_decompose(config.n)[0]
-    if k > limit:  # the statistics compare every visited state with a k-part staircase
+    if k > limit:  # the chain's states grow toward the k-part staircase
         raise EnumerationBoundError(
             f"the reference staircase at n={config.n} has {k} parts, over the limit {limit}"
         )
     stats = run_chain(config)
     if args.format == "json":
-        print(stats.to_json())
+        sys.stdout.writelines(stats.json_chunks())
+        print()
     elif args.format == "csv":
         sys.stdout.write(stats.mean_shape_csv())
     else:

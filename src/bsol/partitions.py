@@ -10,7 +10,9 @@ so they can be shared freely across threads or processes.
 
 from __future__ import annotations
 
+from itertools import count
 from math import isqrt
+from operator import mul
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -75,12 +77,10 @@ def potential_energy(lam: Partition) -> int:
 
     Pile index i and card index j both start at 1 on the sorted
     representation; the empty partition has energy 0.  Pile i contributes
-    i*p + p(p+1)/2, so no box is visited.
+    i*p + p(p+1)/2, so no box is visited; each p(p+1) is even, so the halves
+    sum to (sum of p^2 + sum of p) / 2.
     """
-    total = 0
-    for i, p in enumerate(lam, 1):
-        total += i * p + p * (p + 1) // 2
-    return total
+    return sum(map(mul, lam, count(1))) + (sum(map(mul, lam, lam)) + sum(lam)) // 2
 
 
 def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Partition]:

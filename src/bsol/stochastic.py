@@ -2,27 +2,30 @@
 
 Two randomizations are supported: pile selection, where each pile
 independently loses one card with probability p, and card selection,
-where every single card is picked with probability p.  Sampling is split
-from the move itself: a seeded generator draws a mask or per-pile pick
-counts, and the deterministic masked steps in bsol.operators apply them.
+where every single card is picked with probability p.  A chain runs one
+loop per variant that draws and moves together.  The samplers below and
+the deterministic masked steps in bsol.operators take one move at a time
+from the same stream; they are the reference the chain loops must match.
 Identical configs (including the seed) give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import islice, repeat
+from operator import add, mul, sub
+from typing import TYPE_CHECKING, Iterator
 
 from .dynamics import json_with_bulk
-from .operators import ejs_masked_step, popov_masked_step
+# the per-move reference; bench/tracing.py looks these names up here
+from .operators import ejs_masked_step, popov_masked_step  # noqa: F401
 from .partitions import (
     Partition,
     format_parts,
     is_partition,
     potential_energy,
-    staircase,
     triangular_decompose,
 )
 
@@ -54,9 +57,60 @@ def sample_ejs_picks(rng: np.random.Generator, lam: Partition, p: float) -> tupl
     return tuple(rng.binomial(lam, p).tolist())
 
 
-@lru_cache(maxsize=64)
-def _reference_staircase(n: int) -> Partition:
-    return staircase(triangular_decompose(n)[0])
+# uniforms per numpy call in the pile-selection loop
+_BLOCK = 1 << 14
+
+
+def _settle(parts: list[int], taken: int) -> Partition:
+    """Stack the taken cards as a new pile and put the parts back in
+    order; the parts are nonnegative, so only zeros need dropping."""
+    parts.append(taken)
+    parts.sort(reverse=True)
+    while not parts[-1]:
+        parts.pop()
+    return tuple(parts)
+
+
+def _popov_moves(rng: np.random.Generator, state: Partition, p: float,
+                 moves: int) -> Iterator[Partition]:
+    """The state after each of moves pile-selection moves.
+
+    The same states as popov_masked_step(state, sample_popov_mask(rng,
+    state, p)) per move: PCG64 gives the same doubles drawn a move or a
+    block at a time, so each move slices its flags from a block.
+    """
+    random = rng.random
+    flags, at = [], 0
+    for _ in range(moves):
+        end = at + len(state)
+        while end > len(flags):
+            flags = flags[at:] + (random(_BLOCK) < p).tolist()
+            end -= at
+            at = 0
+        mask = flags[at:end]
+        at = end
+        taken = mask.count(True)
+        if taken:
+            state = _settle(list(map(sub, state, mask)), taken)
+        yield state
+
+
+def _ejs_moves(rng: np.random.Generator, state: Partition, p: float,
+               moves: int) -> Iterator[Partition]:
+    """The state after each of moves card-selection moves.
+
+    The same states as ejs_masked_step(state, sample_ejs_picks(rng, state,
+    p)) per move: rng.binomial draws the same variates a pile at a time as
+    over all piles at once.  Blocking them would change the stream, since
+    a variate takes a variable number of draws.
+    """
+    binomial = rng.binomial
+    for _ in range(moves):
+        picks = list(map(binomial, state, repeat(p)))
+        taken = sum(picks)
+        if taken:
+            state = _settle(list(map(sub, state, picks)), taken)
+        yield state
 
 
 def staircase_distance(lam: Partition) -> float:
@@ -65,16 +119,17 @@ def staircase_distance(lam: Partition) -> float:
     The reference shape is (k, k-1, ..., 1) even for non-triangular totals,
     so distances are comparable along a whole run; it is 0 exactly on the
     staircase of a triangular n.  Past the shorter of lam and the staircase
-    the longer one is compared with zeros, so its tail counts in full.
+    the longer one is compared with zeros, so its tail counts in full: the
+    staircase's last k - len(lam) parts sum to a triangular number, so the
+    cost is O(len(lam)), not O(k).
     """
     n = sum(lam)
     if n == 0:
         return 0.0
-    ref = _reference_staircase(n)
-    total = 0
-    for part, step in zip(lam, ref):
-        total += abs(part - step)
-    total += sum(lam[len(ref):]) + sum(ref[len(lam):])
+    k = triangular_decompose(n)[0]
+    total = sum(map(abs, map(sub, lam, range(k, 0, -1))))
+    rest = k - len(lam)
+    total += rest * (rest + 1) // 2 if rest > 0 else sum(lam[k:])
     return total / n
 
 
@@ -132,7 +187,8 @@ class ChainStats:
     rng_algorithm: str = RNG_ALGORITHM
     path: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json(), a piece at a time."""
         head = {
             "config": self.config.to_jsonable(),
             "rng_algorithm": self.rng_algorithm,
@@ -146,7 +202,10 @@ class ChainStats:
         counts = (
             f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
         )
-        return "".join(json_with_bulk(head, "visit_counts", "{}", counts))
+        return json_with_bulk(head, "visit_counts", "{}", counts)
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
     def mean_shape_csv(self) -> str:
         lines = ["index,mean_part"]
@@ -162,32 +221,30 @@ def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
     samples states is counted once.  With record_path=True the full
     trajectory (initial state included) is kept on the result.
     """
-    if config.variant == "popov":
-        sample, move = sample_popov_mask, popov_masked_step
-    else:
-        sample, move = sample_ejs_picks, ejs_masked_step
+    moves = _popov_moves if config.variant == "popov" else _ejs_moves
     rng = make_rng(config.seed)
-    state = config.initial
+    states = moves(rng, config.initial, config.p, config.burn_in + config.samples)
+    path = None
+    if record_path:
+        path = [config.initial, *states]
+        states = islice(path, 1 + config.burn_in, None)
+    else:
+        deque(islice(states, config.burn_in), maxlen=0)
     counts: dict[Partition, int] = {}
-    path = [state] if record_path else None
-    for step_index in range(config.burn_in + config.samples):
-        state = move(state, sample(rng, state, config.p))
-        if record_path:
-            path.append(state)
-        if step_index >= config.burn_in:
-            counts[state] = counts.get(state, 0) + 1
+    for state in states:
+        counts[state] = counts.get(state, 0) + 1
 
     samples = config.samples
     if samples == 0:
         return ChainStats(config, {}, (), 0.0, 0.0,
                           path=tuple(path) if record_path else None)
-    width = max(len(lam) for lam in counts)
-    shape_sum = [0.0] * width
+    # float sums, index by index in the order of counts, so a mean keeps
+    # its bytes even where a sum passes 2**53
+    shape_sum = [0.0] * max(map(len, counts))
     dist_sum = 0.0
     energy_sum = 0.0
     for lam, count in counts.items():
-        for i, part in enumerate(lam):
-            shape_sum[i] += part * count
+        shape_sum[:len(lam)] = map(add, shape_sum, map(mul, lam, repeat(count)))
         dist_sum += staircase_distance(lam) * count
         energy_sum += potential_energy(lam) * count
     return ChainStats(

@@ -665,14 +665,14 @@ sys.__stdout__.write(f"{code} {peak_kb}")
 """
 
 
-def child_peak_kb(argv):
+def child_peak_kb(argv, timeout=300):
     """Run the CLI in a fresh child that reads its own high-water mark: its
     ru_maxrss would never read below the peak of this test process, which
     forked it."""
     src = str(Path(bsol.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
-                            capture_output=True, text=True, timeout=300)
+                            capture_output=True, text=True, timeout=timeout)
     assert result.returncode == 0, result.stderr
     code, peak_kb = map(int, result.stdout.split())
     assert code == 0
@@ -714,3 +714,23 @@ def test_austrian_n70_peak_under_40_mb():
     # its 198,963 states; the forward explorer's maps took 166 MB here
     peak_kb = child_peak_kb(("graph", "--variant", "austrian", "--n", "70", "--L", "6"))
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_popov_chain_json_peak_under_70_mb():
+    # the visit counts are written a batch at a time, not joined into one
+    # string: about 62 MB, against 76.5 MB with the whole text in memory
+    peak_kb = child_peak_kb(("simulate", "--variant", "popov", "--n", "210", "--p", "0.9",
+                             "--seed", "1", "--format", "json"))
+    assert peak_kb < 70 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_huge_n_chain_peak_under_60_mb_in_seconds():
+    # the staircase of 10**12 has 1,414,214 parts; comparing each state with
+    # it part by part took 28 s and 101 MB, where the distance's cost now
+    # follows the state's own parts: 0.3 s and 36 MB
+    peak_kb = child_peak_kb(("simulate", "--variant", "popov", "--n", str(10**12), "--p", "0.5",
+                             "--seed", "1", "--burn-in", "0", "--samples", "2000",
+                             "--format", "json"), timeout=20)
+    assert peak_kb < 60 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

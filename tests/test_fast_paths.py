@@ -12,14 +12,16 @@ one that stayed.  The graph stages that became single passes (the
 Montreal move's loop, the composition loop) keep their earlier versions
 as oracles too.  Every graph, walked back from its cycles or, for
 Montreal, read off its seeds' cycles, is compared with the forward
-explorer that once served them all.  The exhaustive commands' stdout is
+explorer that once served them all.  A chain draws and moves in one loop
+per variant; it is compared with the per-move samplers and masked steps,
+and its means with the per-part loop.  The exhaustive commands' stdout is
 pinned by SHA-256.
 """
 
 import hashlib
 import json
 from collections import Counter
-from itertools import combinations, product, zip_longest
+from itertools import combinations, product, repeat, zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -448,6 +450,22 @@ def chain_tally_oracle(config):
     return counts, tuple(path)
 
 
+def chain_means_oracle(counts, samples):
+    """Mean shape, staircase distance and energy of the per-part loop."""
+    if samples == 0:
+        return (), 0.0, 0.0
+    width = max(len(lam) for lam in counts)
+    shape_sum = [0.0] * width
+    dist_sum = 0.0
+    energy_sum = 0.0
+    for lam, count in counts.items():
+        for i, part in enumerate(lam):
+            shape_sum[i] += part * count
+        dist_sum += staircase_distance_oracle(lam) * count
+        energy_sum += potential_energy_oracle(lam) * count
+    return tuple(v / samples for v in shape_sum), dist_sum / samples, energy_sum / samples
+
+
 def outcome(fn, *args):
     """The result, or the ValueError's message, so both can be compared."""
     try:
@@ -538,6 +556,22 @@ def test_fast_bodies_match_oracles_on_random_partitions(data):
     fast = outcome(ejs_masked_step, lam, picks)
     assert fast == outcome(ejs_masked_step_oracle, lam, picks)
     assert (fast[:1] == ("ValueError",)) == (spoil != "none")
+
+
+@pytest.mark.parametrize("n", [55, 56, 1_000_003, 10**12])
+def test_staircase_distance_matches_oracle_past_the_shorter_shape(n):
+    # the staircase's parts past lam are summed in closed form, so the cost
+    # follows len(lam), not k, which is 1,414,214 at n = 10**12
+    k, r = triangular_decompose(n)
+    heads = [(n,), (n - 1, 1), (n - 3, 2, 1)]
+    if k < 10_000:  # the oracle walks all k parts of the staircase
+        heads.append((*range(k - 1, 0, -1), r))
+    if n < 100:
+        heads += [(1,) * n, (2,) * (n // 2) + (1,) * (n % 2)]
+    for lam in heads:
+        lam = normalize(lam)
+        assert sum(lam) == n
+        assert staircase_distance(lam) == staircase_distance_oracle(lam)
 
 
 # --- exhaustive enumeration and the Knuth check ---
@@ -815,14 +849,38 @@ def test_a_move_that_is_not_injective_fails_the_montreal_cycles_with_exit_4(caps
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
-@pytest.mark.parametrize("burn_in, samples", [(0, 60), (25, 0), (0, 0), (15, 40)])
-def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples):
-    config = ChainConfig(12, variant, 0.6, seed=burn_in + samples, burn_in=burn_in,
+@pytest.mark.parametrize("burn_in, samples, n, p, record_path", [
+    *[pytest.param(b, s, 12, 0.6, True, id=f"{b}-{s}")
+      for b, s in [(0, 60), (25, 0), (0, 0), (15, 40)]],
+    *[pytest.param(5, 30, 210, p, record, id=f"210-{p}-{'path' if record else 'counts'}")
+      for p in (0.05, 0.5, 0.9, 1.0) for record in (True, False)],
+    # about 26 piles a move: these 4,000 pile-selection moves draw 105,405
+    # uniforms, so the chain crosses six blocks of 16,384
+    pytest.param(1000, 3000, 210, 0.5, False, id="210-blocks"),
+])
+def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples, n, p,
+                                                    record_path):
+    config = ChainConfig(n, variant, p, seed=burn_in + samples, burn_in=burn_in,
                          samples=samples)
     counts, path = chain_tally_oracle(config)
-    stats = run_chain(config, record_path=True)
+    stats = run_chain(config, record_path=record_path)
     assert list(stats.visit_counts.items()) == list(counts.items())  # insertion order too
-    assert stats.path == path
+    assert stats.path == (path if record_path else None)
+    means = (stats.mean_shape, stats.mean_staircase_distance, stats.mean_energy)
+    assert means == chain_means_oracle(counts, samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(partitions(), min_size=1, max_size=6),
+       st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0]), st.integers(0, 2**32))
+def test_binomial_draws_pile_by_pile_match_one_call_over_all_piles(lams, p, seed):
+    # the card-selection chain draws rng.binomial(x, p) per pile; numpy takes
+    # its BTPE branch once x * min(p, 1 - p) passes 30, so add piles above 60
+    lams = [*lams, (210,), (150, 61, 1), (90, 90, 30)]
+    whole, per_pile = make_rng(seed), make_rng(seed)
+    for lam in lams:
+        assert tuple(map(per_pile.binomial, lam, repeat(p))) == tuple(whole.binomial(lam, p).tolist())
+    assert per_pile.random() == whole.random()
 
 
 def test_hot_calls_go_through_the_module_globals(monkeypatch):
@@ -839,17 +897,19 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
                          (bsol.dynamics, "enumerate_partitions"),
                          (bsol.dynamics, "enumerate_compositions"),
                          (bsol.dynamics, "enumerate_montreal_compositions"),
-                         (bsol.stochastic, "sample_popov_mask"),
-                         (bsol.stochastic, "sample_ejs_picks"),
-                         (bsol.stochastic, "popov_masked_step"),
-                         (bsol.stochastic, "ejs_masked_step")]:
+                         (bsol.stochastic, "staircase_distance"),
+                         (bsol.stochastic, "potential_energy")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     toom_path(5)
     assert calls["bulgarian_step"] == 5 * 4 + 1  # the last step repeats the staircase
-    run_chain(ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7))
-    run_chain(ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4))
-    assert calls["sample_popov_mask"] == calls["popov_masked_step"] == 10
-    assert calls["sample_ejs_picks"] == calls["ejs_masked_step"] == 6
+    # a chain draws and moves in one loop per variant; its statistics are
+    # read once per distinct state
+    for config in (ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7),
+                   ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4)):
+        calls.clear()
+        distinct = len(run_chain(config).visit_counts)
+        assert 1 < distinct <= config.samples
+        assert calls["staircase_distance"] == calls["potential_energy"] == distinct
     # the variant registry is built per call, so it holds the patched enumerators;
     # the Bulgarian, dual and Carolina graphs are walked back from their cycles
     # instead, and so is the Austrian graph, which enumerates only the first of

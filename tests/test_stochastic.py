@@ -120,6 +120,16 @@ def test_popov_full_probability_masks_everything():
     assert sample_popov_mask(rng, (4, 3, 3), 1.0) == (0, 1, 2)
 
 
+@pytest.mark.parametrize("a, b", [(0, 5), (3, 4), (1, 16_384), (16_384, 16_384), (20_000, 7)])
+def test_pcg64_uniforms_are_the_same_drawn_in_pieces_or_in_one_block(a, b):
+    # the pile-selection chain slices its flags from blocks of uniforms and
+    # keeps the per-move stream only because this holds
+    first, second = make_rng(2024), make_rng(2024)
+    pieces = np.concatenate([first.random(a), first.random(b)])
+    assert np.array_equal(pieces, second.random(a + b))
+    assert first.random() == second.random()
+
+
 def test_ejs_picks_are_binomial():
     rng = make_rng(123)
     draws = [sample_ejs_picks(rng, (10,), 0.3)[0] for _ in range(20_000)]
@@ -157,23 +167,31 @@ def test_stats_json_and_csv():
 
 # --- pinned output bytes ---
 
-# SHA-256 of `bsol simulate --n 30 ...` stdout at the default chain lengths,
-# recorded before the chain's statistics and sample/move steps were sped up.
-# A seeded chain must print these exact bytes for as long as RNG_ALGORITHM
-# names the same stream; a new stream needs a new tag and new hashes.
+# SHA-256 of `bsol simulate ...` stdout.  The n = 30 runs, at the default
+# chain lengths, were recorded before the chain's statistics and sample/move
+# steps were sped up; the n = 210 runs before the chain drew and moved in one
+# loop per variant.  A seeded chain must print these exact bytes for as long
+# as RNG_ALGORITHM names the same stream; a new stream needs a new tag and
+# new hashes.
 GOLDEN_SIMULATE = [
-    (("--variant", "popov", "--p", "0.9", "--seed", "7", "--format", "json"),
+    (("--n", "30", "--variant", "popov", "--p", "0.9", "--seed", "7", "--format", "json"),
      "1559e40ed34d7d522c035531a3ee6e0a2f28bdca23f54ce28cf285e3b94aa10e"),
-    (("--variant", "ejs", "--p", "0.5", "--seed", "11"),
+    (("--n", "30", "--variant", "ejs", "--p", "0.5", "--seed", "11"),
      "35788de528ccfd31e0a98fc653c31e8066e3f88a7a90e27f88935df8fadcbef0"),
-    (("--variant", "ejs", "--p", "0.5", "--seed", "13", "--format", "csv"),
+    (("--n", "30", "--variant", "ejs", "--p", "0.5", "--seed", "13", "--format", "csv"),
      "ec494941569f0b7822d96a17e41b5ea8450db3237759da255d6ad172fa33d001"),
+    (("--n", "210", "--burn-in", "100", "--samples", "2000",
+      "--variant", "popov", "--p", "0.9", "--seed", "7", "--format", "json"),
+     "c6a0d9ea496b5c234cd7ebb8f1c730ba29871c0d7fd75567bb737d2469cf83f1"),
+    (("--n", "210", "--burn-in", "100", "--samples", "2000",
+      "--variant", "ejs", "--p", "0.5", "--seed", "11"),
+     "1cdd2384fd7970f645b484bc13e2a8180fd23f66706cc07a70a20a31dc0c4cf8"),
 ]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_SIMULATE)
 def test_seeded_simulate_output_is_pinned(capsys, args, digest):
     assert RNG_ALGORITHM == "numpy-pcg64"
-    assert main(["simulate", "--n", "30", *args]) == 0
+    assert main(["simulate", *args]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
