@@ -31,7 +31,8 @@ from .dynamics import (
     state_total,
     toom_path,
 )
-from .necklaces import _austrian_state_count, list_necklaces, necklace_count, partition_count
+# partition_count stays importable here: bench/tracing.py wraps it by name
+from .necklaces import list_necklaces, necklace_count, partition_count
 from .operators import AustrianState, PointerState
 from .partitions import (
     EnumerationBoundError,
@@ -104,19 +105,6 @@ def render_young(lam: Partition, style: str = "rows") -> str:
 
 # --- state-space size guard ---
 
-def _space_size(variant: str, n: int, L: int | None) -> int:
-    if variant in ("bulgarian", "dual"):
-        return partition_count(n)
-    if variant == "carolina":
-        return 2 ** (n - 1)
-    if variant == "montreal":
-        # (n), then C(n-2+j, j) with j = 1..n-1 more parts: hockey-stick sum
-        return comb(2 * n - 2, n - 1) if n else 1
-    if variant == "austrian":
-        return _austrian_state_count(n, L)
-    raise ValueError(f"variant {variant!r} has no state enumeration")
-
-
 def _state_limit(args) -> int:
     if getattr(args, "limit", None) is not None:
         if args.limit < 0:
@@ -149,8 +137,9 @@ def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
             f"austrian states at n={n} hold up to {n} piles, "
             f"over the enumeration bound n={AUSTRIAN_N_BOUND}"
         )
-    try:  # what _space_size still refuses is a count past its bound
-        size = _space_size(variant, n, L)
+    total = get_variant(variant, L=L).total  # the count the walk checks itself against
+    try:  # what total still refuses is a count past its bound
+        size = total(n, L)
     except ValueError as exc:
         raise EnumerationBoundError(str(exc)) from None
     if size > limit:
@@ -162,8 +151,7 @@ def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
 # --- commands ---
 
 def _cmd_orbit(args) -> int:
-    L = args.L if args.variant == "austrian" else None
-    variant = get_variant(args.variant, L=L)
+    variant = get_variant(args.variant, L=args.L)
     if variant.state_kind == "austrian":
         piles = parse_state(args.state, "partition")
         start = AustrianState(piles, args.bank, args.L)
@@ -199,14 +187,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    L = args.L if args.variant == "austrian" else None
-    get_variant(args.variant, L=L)  # a missing or bad --L is a usage error, before sizing
+    # only the austrian variant reads --L; a missing or bad one is a usage error, before sizing
+    get_variant(args.variant, L=args.L)
     limit = _state_limit(args)
-    _check_space(args.variant, args.n, L, limit)
+    _check_space(args.variant, args.n, args.L, limit)
     # the seeds are sized above; montreal orbits leave them, so every
     # state they visit counts against the limit too
     summary = analyze_state_space(
-        args.n, args.variant, L=L, keep_edges=args.format == "dot", limit=limit
+        args.n, args.variant, L=args.L, keep_edges=args.format == "dot", limit=limit
     )
     if args.format in ("json", "dot"):
         chunks = summary.json_chunks() if args.format == "json" else summary.dot_chunks()
@@ -333,12 +321,14 @@ def _cmd_simulate(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(stats.mean_shape_csv())
     else:
-        profile = shape_profile(stats)
         print(f"variant: {config.variant}  n: {config.n}  p: {config.p}  seed: {config.seed}")
         print(f"burn-in: {config.burn_in}  samples: {config.samples}")
         print(f"distinct states visited: {len(stats.visit_counts)}")
         print(f"mean staircase distance: {stats.mean_staircase_distance:.6f}")
         print(f"mean energy: {stats.mean_energy:.3f}")
+        if not stats.mean_shape:  # no sample, so no shape to fit
+            return 0
+        profile = shape_profile(stats)
         print(f"linear fit residual: {profile.linear_residual:.6f}")
         print(f"exponential fit residual: {profile.exponential_residual:.6f}")
         print(f"closer profile: {profile.better}")

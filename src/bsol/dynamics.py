@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, permutations
-from math import inf
+from math import comb, inf
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .necklaces import _austrian_state_count, list_necklaces, partition_count
@@ -37,7 +37,7 @@ from .partitions import (
     EnumerationBoundError,
     Partition,
     conjugate,
-    enumerate_compositions,
+    enumerate_compositions,  # unused here; bench/tracing.py wraps it by name
     enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
@@ -213,14 +213,26 @@ def orbit_json_lines(result: OrbitResult) -> list[str]:
 
 @dataclass(frozen=True)
 class Variant:
+    """A deterministic variant's move and kind of state and, for the five
+    that analyze_state_space serves, the facts of its graph on n cards.
+
+    Only the Austrian game reads the lifetime L that each fact takes.  A
+    graph without a predecessor rule (Montreal) is its cycles, and total
+    counts its seeds.  The dual graph is the Bulgarian graph conjugated,
+    walked as that graph: mirror maps the walked cycles onto its own.
+    """
+
     name: str
     step: StepFn
     state_kind: str
-    enumerate_states: Callable[[int], Iterator[State]] | None = None
-
-    @property
-    def enumerable(self) -> bool:
-        return self.enumerate_states is not None
+    cycles: Callable | None = None  # (n, L, limit): each rotated, ascending
+    predecessors: Callable | None = None  # every state one move sends to a state
+    is_ge: Callable | None = None  # true exactly when a state has no predecessor
+    states: Callable | None = None  # (n, L): every state, made afresh, ascending
+    total: Callable | None = None  # (n, L): how many states the walk reaches
+    what: str = ""  # those states, with {n} and {L}, for the walk's self-check
+    mirror: StepFn | None = None
+    mirror_ge: Callable | None = None  # the GE rule of the mirrored graph
 
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
@@ -232,30 +244,52 @@ def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
 def get_variant(name: str, *, L: int | None = None) -> Variant:
     """Look up a deterministic variant by identifier.
 
-    The Austrian game needs the machine lifetime L; the circular games
-    (servedio_yeh, janetzko) and the multiplayer game have no single-n
-    state enumeration, so they support orbits but not whole-graph analysis.
+    The circular games (servedio_yeh, janetzko) and the multiplayer game
+    have no single-n state enumeration, so they support orbits but not
+    whole-graph analysis.  The registry is built per call, so it holds
+    the steps and enumerators that the module names at that time.
     """
     if name == "austrian":
         if L is None:
             raise ValueError("the austrian variant requires the machine lifetime L")
         if L < 1:
             raise ValueError(f"machine lifetime must be positive, got {L}")
-        return Variant("austrian", austrian_step, "austrian", partial(_austrian_states, L=L))
-    fixed = {
-        "bulgarian": Variant("bulgarian", bulgarian_step, "partition", enumerate_partitions),
-        "dual": Variant("dual", dual_step, "partition", enumerate_partitions),
-        "carolina": Variant("carolina", carolina_step, "strict", enumerate_compositions),
+    partitions = dict(
+        cycles=lambda n, L, limit: _bulgarian_cycles(n), predecessors=_predecessors,
+        is_ge=garden_of_eden_test, states=lambda n, L: enumerate_partitions_ascending(n),
+        total=lambda n, L: partition_count(n), what="partitions of {n}",
+    )
+    registry = {
+        "bulgarian": Variant("bulgarian", bulgarian_step, "partition", **partitions),
+        "dual": Variant(
+            "dual", dual_step, "partition", **partitions, mirror=conjugate, mirror_ge=_dual_ge
+        ),
+        "carolina": Variant(
+            "carolina", carolina_step, "strict",
+            cycles=lambda n, L, limit: _carolina_cycles(n), predecessors=_carolina_predecessors,
+            is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
+            total=lambda n, L: 2 ** (n - 1), what="compositions of {n}",
+        ),
+        # the seeds: (n), then C(n-2+j, j) with j = 1..n-1 more parts, a hockey-stick sum
         "montreal": Variant(
-            "montreal", montreal_step, "montreal", enumerate_montreal_compositions
+            "montreal", montreal_step, "montreal",
+            cycles=lambda n, L, limit: _montreal_cycles(n, limit),
+            total=lambda n, L: comb(2 * n - 2, n - 1) if n else 1,
+        ),
+        "austrian": Variant(
+            "austrian", austrian_step, "austrian",
+            cycles=lambda n, L, limit: _austrian_cycles(n, L),
+            predecessors=_austrian_predecessors, is_ge=_austrian_ge,
+            states=lambda n, L: sorted(_austrian_states(n, L)),
+            total=_austrian_state_count, what="austrian states of {n} with L = {L}",
         ),
         "servedio_yeh": Variant("servedio_yeh", servedio_yeh_step, "circular"),
         "janetzko": Variant("janetzko", janetzko_step, "pointer"),
         "multiplayer": Variant("multiplayer", multiplayer_step, "multiplayer"),
     }
-    if name not in fixed:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(fixed) + ['austrian']}")
-    return fixed[name]
+    if name not in registry:
+        raise ValueError(f"unknown variant {name!r}; choose from {sorted(registry)}")
+    return registry[name]
 
 
 # --- full graph analysis ---
@@ -326,20 +360,16 @@ def _austrian_ge(state: AustrianState) -> bool:
     return state.piles.count(state.L) * (state.L + 1) + state.bank < len(state.piles)
 
 
+def _dual_ge(lam: Partition) -> bool:
+    # the conjugate of the Bulgarian rule: fewer parts than the largest part minus one
+    return len(lam) < lam[0] - 1
+
+
 class _Walk(NamedTuple):
     states: int  # states reached, cycles included
     max_tail: int  # the largest distance to a cycle among them
     ge_count: int  # Garden of Eden states among them
     smallest_ge: list  # per cycle, its smallest Garden of Eden state or None
-
-
-def _off_cycle(cyc, predecessors) -> Iterator:
-    """The predecessors of a cycle's states that are not on the cycle."""
-    for i, x in enumerate(cyc):
-        on = cyc[i - 1]
-        for p in predecessors(x):
-            if p != on:
-                yield p
 
 
 def _walk_back(cycles, predecessors, is_ge) -> _Walk:
@@ -357,7 +387,8 @@ def _walk_back(cycles, predecessors, is_ge) -> _Walk:
     for cyc in cycles:
         count += len(cyc)
         first = None
-        it = _off_cycle(cyc, predecessors)  # yields the states at distance len(stack) + 1
+        # it yields the states at distance len(stack) + 1: first those off the cycle
+        it = (p for i, x in enumerate(cyc) for p in predecessors(x) if p != cyc[i - 1])
         stack = []  # the iterators nearer the cycle, nearest first
         while True:
             x = next(it, None)
@@ -424,8 +455,9 @@ def _austrian_cycles(n: int, L: int) -> list[tuple[AustrianState, ...]]:
     return [_rotated(orbit(x, austrian_step).cycle) for x in islice(_austrian_states(n, L), 1)]
 
 
-def _montreal_cycles(seeds, step: StepFn, limit: float) -> list[tuple[Composition, ...]]:
-    """The Montreal cycles through the seeds, each rotated, in ascending order.
+def _montreal_cycles(n: int, limit: float) -> list[tuple[Composition, ...]]:
+    """The Montreal cycles through the seeds, the compositions of n in at
+    most n parts, each rotated, in ascending order.
 
     Every Montreal state lies on a cycle (Cannings and Haigh, "Montreal
     solitaire"), so each seed not seen yet is orbited until it comes back;
@@ -433,8 +465,8 @@ def _montreal_cycles(seeds, step: StepFn, limit: float) -> list[tuple[Compositio
     the seeds, so visiting more than limit states raises
     EnumerationBoundError.
     """
-    seen, cycles = set(), []
-    for seed in seeds:
+    seen, cycles, step = set(), [], montreal_step
+    for seed in enumerate_montreal_compositions(n):
         cyc, x = [], seed
         while x not in seen:
             seen.add(x)
@@ -451,37 +483,37 @@ def _montreal_cycles(seeds, step: StepFn, limit: float) -> list[tuple[Compositio
     return sorted(cycles)
 
 
-def _walk_graph(n: int, variant: str = "bulgarian", L: int | None = None):
-    """A graph on n cards (the Bulgarian one also for the dual game) walked
-    back from its cycles: (cycles, walk, states, is_ge), where states()
-    makes every state afresh, ascending, and is_ge is the GE rule.
+def _walk_graph(game: Variant, n: int, L: int | None = None, limit: float = inf):
+    """A variant's graph on n cards: (cycles, walk, states, is_ge), where
+    states() makes every state afresh, ascending, and is_ge is the GE rule.
 
-    The walk checks itself: it must reach all p(n) partitions, 2^(n-1)
-    compositions or Austrian states, or a cycle was missed.  The component
-    count is the number of cycles the walk started from, never the closed
-    form it is compared against.
+    A graph with a predecessor rule is walked back from its cycles, and
+    the walk checks itself: it must reach all game.total(n, L) states, or
+    a cycle was missed.  The component count is the number of cycles the
+    walk started from, never the total it is compared against.  Each
+    cycle must also step round under the variant's own move; the dual
+    move refuses the empty partition of 0 cards here.  A graph without
+    one is its cycles: no tails, no GE state.
     """
-    states, is_ge = partial(enumerate_partitions_ascending, n), garden_of_eden_test
-    if variant == "carolina":
-        cycles, predecessors = _carolina_cycles(n), _carolina_predecessors
-        states = partial(enumerate_compositions_ascending, n)
-        total, what = 2 ** (n - 1), f"compositions of {n}"
-    elif variant == "austrian":
-        cycles, predecessors, is_ge = _austrian_cycles(n, L), _austrian_predecessors, _austrian_ge
-
-        def states():
-            return sorted(_austrian_states(n, L))
-
-        total, what = _austrian_state_count(n, L), f"austrian states of {n} with L = {L}"
-    else:
-        cycles, predecessors = _bulgarian_cycles(n), _predecessors
-        total, what = partition_count(n), f"partitions of {n}"
-    walk = _walk_back(cycles, predecessors, is_ge)
+    cycles = game.cycles(n, L, limit)
+    if game.predecessors is None:
+        walk = _Walk(sum(map(len, cycles)), 0, 0, [None] * len(cycles))
+        return cycles, walk, lambda: sorted(chain.from_iterable(cycles)), None
+    walk = _walk_back(cycles, game.predecessors, game.is_ge)
+    total = game.total(n, L)
     if walk.states != total:
         raise WalkError(
-            f"the walk back from the cycles counted {walk.states} states, not the {total} {what}"
+            f"the walk back from the cycles counted {walk.states} states, "
+            f"not the {total} {game.what.format(n=n, L=L)}"
         )
-    return cycles, walk, states, is_ge
+    is_ge = game.is_ge
+    if game.mirror is not None:
+        cycles = sorted(_rotated(tuple(map(game.mirror, cyc))) for cyc in cycles)
+        is_ge = game.mirror_ge
+    for cyc in cycles:
+        if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+            raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
+    return cycles, walk, partial(game.states, n, L), is_ge
 
 
 class _Stream:
@@ -497,11 +529,6 @@ class _Stream:
 
     def __len__(self) -> int:
         return self._size
-
-
-def _dual_ge(lam: Partition) -> bool:
-    # the conjugate of the Bulgarian rule: fewer parts than the largest part minus one
-    return len(lam) < lam[0] - 1
 
 
 @dataclass(frozen=True)
@@ -570,37 +597,18 @@ def analyze_state_space(
     keep_edges: bool = False,
     limit: float = inf,
 ) -> GraphSummary:
-    """Exhaustively analyze every state of total n under one variant.
+    """Exhaustively analyze every state of total n under one variant, as
+    its record in get_variant describes the graph (see _walk_graph).
 
-    The Bulgarian, dual, Carolina and Austrian graphs are walked backwards
-    from their cycles (see _walk_graph), in memory that follows the walk's
-    depth.  The dual move is the Bulgarian move conjugated, so its graph
-    is the Bulgarian graph with every state conjugated.  The Montreal
-    graph is the cycles through its seeds (see _montreal_cycles), which
-    pass through states outside the seed enumeration; everything visited
-    is counted, and visiting more than limit states raises
-    EnumerationBoundError.  The walked graphs hold exactly the states
-    their enumerations count, which a caller can size beforehand.
+    The walked graphs hold exactly the total(n, L) states, which a caller
+    can size beforehand.  The Montreal graph's cycles leave its seeds;
+    everything visited is counted, and visiting more than limit states
+    raises EnumerationBoundError.
     """
     game = get_variant(variant, L=L)
-    if not game.enumerable:
+    if game.cycles is None:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    if variant == "montreal":
-        cycles = _montreal_cycles(game.enumerate_states(n), game.step, limit)
-        walk = _Walk(sum(map(len, cycles)), 0, 0, [None] * len(cycles))  # no tails, no GE
-
-        def states():
-            return sorted(chain.from_iterable(cycles))
-    else:
-        cycles, walk, states, is_ge = _walk_graph(n, variant, L)
-        if variant == "dual":
-            cycles = sorted(_rotated(tuple(map(conjugate, cyc))) for cyc in cycles)
-            is_ge = _dual_ge
-        # each cycle must step round under the variant's own move; the dual
-        # move refuses the empty partition of 0 cards here
-        for cyc in cycles:
-            if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
-                raise WalkError(f"{state_label(cyc[0])} does not start a {variant} cycle")
+    cycles, walk, states, is_ge = _walk_graph(game, n, L, limit)
     step = game.step
     return GraphSummary(
         n=n,
@@ -659,7 +667,7 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    cycles, walk, _, _ = _walk_graph(n)
+    cycles, walk, _, _ = _walk_graph(get_variant("bulgarian"), n)
     if cycles == [(sigma,)] and walk.max_tail <= exponent:
         return KnuthReport(k, n, exponent, walk.states, ())
     bad = []
@@ -727,7 +735,7 @@ def ge_reachability_check(n: int) -> ReachabilityReport:
     counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    cycles, walk, _, _ = _walk_graph(n)
+    cycles, walk, _, _ = _walk_graph(get_variant("bulgarian"), n)
     witnesses = []
     for cyc, ge in zip(cycles, walk.smallest_ge):
         path = () if ge is None else orbit(ge, bulgarian_step).path

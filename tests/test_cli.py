@@ -20,8 +20,8 @@ from bsol.partitions import (
     enumerate_partitions,
     format_parts,
 )
-from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, _space_size, main, parse_state, render_young
-from bsol.dynamics import _knuth_check
+from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, main, parse_state, render_young
+from bsol.dynamics import _knuth_check, get_variant
 
 
 def run_cli(capsys, *argv):
@@ -323,12 +323,23 @@ def test_cli_graph_n_0(capsys):
         assert code == 0
         assert err == ""
         assert json.loads(out)["state_count"] == 1
-    for variant in ("dual", "carolina", "montreal"):
+    for variant, message in [("dual", "dual step needs a nonempty partition"),
+                             ("carolina", "n must be positive, got 0"),
+                             ("montreal", "n must be positive, got 0")]:
         code, out, err = run_cli(capsys, "graph", "--n", "0", "--variant", variant)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_graph_reads_L_only_for_austrian(capsys):
+    # every other variant ignores --L, whatever its value
+    for argv in (("--format", "json"), ("--variant", "montreal")):
+        plain = run_cli(capsys, "graph", "--n", "6", *argv)
+        assert plain[0] == 0
+        for L in ("0", "-3"):
+            assert run_cli(capsys, "graph", "--n", "6", *argv, "--L", L) == plain
+    code, out, err = run_cli(capsys, "graph", "--variant", "austrian", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: the austrian variant requires the machine lifetime L\n"
 
 
 def test_cli_ge(capsys):
@@ -456,6 +467,40 @@ def test_cli_simulate_text(capsys):
     assert "residual" in out
 
 
+ZERO_SAMPLE_CHAIN = ("simulate", "--variant", "ejs", "--n", "10", "--p", "0.5", "--seed", "3",
+                     "--burn-in", "5")
+
+
+def test_cli_simulate_with_no_samples_exits_0_in_every_format(capsys):
+    # a chain may record no sample; the text output then has nothing to fit
+    expected = {
+        "text": ("variant: ejs  n: 10  p: 0.5  seed: 3\n"
+                 "burn-in: 5  samples: 0\n"
+                 "distinct states visited: 0\n"
+                 "mean staircase distance: 0.000000\n"
+                 "mean energy: 0.000\n"),
+        "csv": "index,mean_part\n",
+    }
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, *ZERO_SAMPLE_CHAIN, "--samples", "0", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["visit_counts"] == {}
+        else:
+            assert out == expected[fmt]
+    # one sample is fitted as before
+    code, out, err = run_cli(capsys, *ZERO_SAMPLE_CHAIN, "--samples", "1")
+    assert (code, err) == (0, "")
+    assert out == ("variant: ejs  n: 10  p: 0.5  seed: 3\n"
+                   "burn-in: 5  samples: 1\n"
+                   "distinct states visited: 1\n"
+                   "mean staircase distance: 0.800000\n"
+                   "mean energy: 51.000\n"
+                   "linear fit residual: 1.649916\n"
+                   "exponential fit residual: 0.771514\n"
+                   "closer profile: exponential\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("--variant", "popov", "--n", "100000"),
     ("--variant", "ejs", "--n", "10", "--samples", "1000000000"),
@@ -554,19 +599,23 @@ def test_cli_graph_guard_refuses_huge_spaces_at_once(capsys, monkeypatch, argv):
     assert "digits" not in err
 
 
+def _total(variant, n, L=None):
+    return get_variant(variant, L=L).total(n, L)
+
+
 def test_montreal_size_is_the_closed_form_of_the_stratum_sum():
     # the stratum of n cards in at most n parts: (n) plus C(n-2+j, j)
     # compositions with j parts past the first
     for n in range(0, 120):
         oracle = 1 + sum(comb(n - 3 + c, c - 1) for c in range(2, n + 1))
-        assert _space_size("montreal", n, None) == oracle
+        assert _total("montreal", n) == oracle
     for n in range(1, 10):
-        assert _space_size("montreal", n, None) == len(list(enumerate_montreal_compositions(n)))
+        assert _total("montreal", n) == len(list(enumerate_montreal_compositions(n)))
 
 
 def test_cli_guard_sizes_a_huge_lifetime_at_once():
     start = time.perf_counter()
-    assert _space_size("austrian", 12, 10**12) == _space_size("austrian", 12, 13)
+    assert _total("austrian", 12, 10**12) == _total("austrian", 12, 13)
     _check_space("austrian", 40, 10**12, DEFAULT_STATE_LIMIT)
     with pytest.raises(EnumerationBoundError, match="2\\^21 states"):
         _check_space("carolina", 22, None, DEFAULT_STATE_LIMIT)

@@ -397,12 +397,24 @@ def ge_reachability_oracle(n):
     return ReachabilityReport(n, holds, tuple(witnesses))
 
 
+# every state of n cards, or every Montreal seed, from the public
+# enumerators; L is the Austrian lifetime, which the others ignore
+STATES = {
+    "bulgarian": lambda n, L: enumerate_partitions(n),
+    "dual": lambda n, L: enumerate_partitions(n),
+    "carolina": lambda n, L: enumerate_compositions(n),
+    "montreal": lambda n, L: enumerate_montreal_compositions(n),
+    "austrian": lambda n, L: (AustrianState(piles, bank, L) for bank in range(min(L - 1, n) + 1)
+                              for piles in enumerate_partitions(n - bank, max_part=L)),
+}
+
+
 def explored_summary_oracle(n, variant, L=None):
     """The summary as the forward explorer builds it from every state,
     edges kept; the Montreal orbits leave the seeds, and every state
     they visit is counted."""
     game = get_variant(variant, L=L)
-    succ, dist, _, cycles = explore_oracle(game.enumerate_states(n), game.step)
+    succ, dist, _, cycles = explore_oracle(STATES[variant](n, L), game.step)
     return GraphSummary(
         n=n,
         variant=variant,
@@ -727,9 +739,31 @@ def test_explorer_matches_the_two_map_walk(variant, n, L):
 
 @pytest.mark.parametrize("variant, n, L", ENUMERABLE)
 def test_ge_rule_matches_counter_pass(variant, n, L):
-    game = get_variant(variant, L=L)
-    succ = explore_oracle(game.enumerate_states(n), game.step)[0]
+    succ = explore_oracle(STATES[variant](n, L), get_variant(variant, L=L).step)[0]
     assert tuple(analyze_state_space(n, variant, L=L).ge_states) == ge_counter_oracle(succ)
+
+
+def test_one_total_sizes_the_guard_and_the_walk():
+    # the record's total(n, L) is the count the CLI guard refuses on and the
+    # count the walk checks itself against; the Montreal closed form and the
+    # guard's timing are checked in test_cli
+    def total(variant, n, L=None):
+        return get_variant(variant, L=L).total(n, L)
+
+    def assert_walk_counts_total(variant, n, L=None):
+        count = sum(1 for _ in STATES[variant](n, L))
+        assert total(variant, n, L) == count, (variant, n, L)
+        assert analyze_state_space(n, variant, L=L).state_count == count, (variant, n, L)
+
+    for n in range(31):
+        assert_walk_counts_total("bulgarian", n)
+        if n:
+            assert_walk_counts_total("dual", n)
+    for n in range(1, 17):
+        assert_walk_counts_total("carolina", n)
+    for L in range(1, 8):
+        for n in range(25):
+            assert_walk_counts_total("austrian", n, L)
 
 
 def test_ge_reachability_matches_counter_pass():
@@ -774,7 +808,7 @@ def test_carolina_walk_matches_the_forward_explorer():
 def test_austrian_predecessors_match_brute_force_preimages():
     for L in range(1, 8):
         for n in range(25):
-            states = list(get_variant("austrian", L=L).enumerate_states(n))
+            states = list(STATES["austrian"](n, L))
             preimages = {}
             for x in states:
                 preimages.setdefault(austrian_step(x), []).append(x)
