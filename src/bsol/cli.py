@@ -193,9 +193,7 @@ def _cmd_graph(args) -> int:
     _check_space(args.variant, args.n, args.L, limit)
     # the seeds are sized above; montreal orbits leave them, so every
     # state they visit counts against the limit too
-    summary = analyze_state_space(
-        args.n, args.variant, L=args.L, keep_edges=args.format == "dot", limit=limit
-    )
+    summary = analyze_state_space(args.n, args.variant, L=args.L, limit=limit)
     if args.format in ("json", "dot"):
         chunks = summary.json_chunks() if args.format == "json" else summary.dot_chunks()
         sys.stdout.writelines(chunks)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, permutations
 from math import comb, inf
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
 from .necklaces import _austrian_state_count, list_necklaces, partition_count
 from .operators import (
@@ -268,7 +268,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             "carolina", carolina_step, "strict",
             cycles=lambda n, L, limit: _carolina_cycles(n), predecessors=_carolina_predecessors,
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
-            total=lambda n, L: 2 ** (n - 1), what="compositions of {n}",
+            total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
         ),
         # the seeds: (n), then C(n-2+j, j) with j = 1..n-1 more parts, a hockey-stick sum
         "montreal": Variant(
@@ -365,15 +365,11 @@ def _dual_ge(lam: Partition) -> bool:
     return len(lam) < lam[0] - 1
 
 
-class _Walk(NamedTuple):
-    states: int  # states reached, cycles included
-    max_tail: int  # the largest distance to a cycle among them
-    ge_count: int  # Garden of Eden states among them
-    smallest_ge: list  # per cycle, its smallest Garden of Eden state or None
-
-
-def _walk_back(cycles, predecessors, is_ge) -> _Walk:
-    """Walk a graph backwards from its cycles, depth first.
+def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
+    """Walk a graph backwards from its cycles, depth first: (the states
+    reached, cycles included; the largest distance to a cycle among them;
+    the Garden of Eden states among them; per cycle, its smallest Garden
+    of Eden state or None).
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
@@ -410,7 +406,7 @@ def _walk_back(cycles, predecessors, is_ge) -> _Walk:
                 stack.append(it)
                 it = iter(predecessors(x))
         smallest_ge.append(first)
-    return _Walk(count, max_tail, ge_count, smallest_ge)
+    return count, max_tail, ge_count, tuple(smallest_ge)
 
 
 def _bulgarian_cycles(n: int) -> list[tuple[Partition, ...]]:
@@ -483,39 +479,6 @@ def _montreal_cycles(n: int, limit: float) -> list[tuple[Composition, ...]]:
     return sorted(cycles)
 
 
-def _walk_graph(game: Variant, n: int, L: int | None = None, limit: float = inf):
-    """A variant's graph on n cards: (cycles, walk, states, is_ge), where
-    states() makes every state afresh, ascending, and is_ge is the GE rule.
-
-    A graph with a predecessor rule is walked back from its cycles, and
-    the walk checks itself: it must reach all game.total(n, L) states, or
-    a cycle was missed.  The component count is the number of cycles the
-    walk started from, never the total it is compared against.  Each
-    cycle must also step round under the variant's own move; the dual
-    move refuses the empty partition of 0 cards here.  A graph without
-    one is its cycles: no tails, no GE state.
-    """
-    cycles = game.cycles(n, L, limit)
-    if game.predecessors is None:
-        walk = _Walk(sum(map(len, cycles)), 0, 0, [None] * len(cycles))
-        return cycles, walk, lambda: sorted(chain.from_iterable(cycles)), None
-    walk = _walk_back(cycles, game.predecessors, game.is_ge)
-    total = game.total(n, L)
-    if walk.states != total:
-        raise WalkError(
-            f"the walk back from the cycles counted {walk.states} states, "
-            f"not the {total} {game.what.format(n=n, L=L)}"
-        )
-    is_ge = game.is_ge
-    if game.mirror is not None:
-        cycles = sorted(_rotated(tuple(map(game.mirror, cyc))) for cyc in cycles)
-        is_ge = game.mirror_ge
-    for cyc in cycles:
-        if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
-            raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
-    return cycles, walk, partial(game.states, n, L), is_ge
-
-
 class _Stream:
     """A sized, re-iterable collection whose items are made afresh on each
     pass, so that no pass holds them all."""
@@ -537,7 +500,9 @@ class GraphSummary:
 
     edges is a stream for every variant, and so is ge_states unless it is
     empty: each pass makes them afresh, in ascending order of the source
-    state, as a sorted tuple would hold them.
+    state, as a sorted tuple would hold them.  smallest_ge holds, per
+    cycle, the smallest Garden of Eden state whose orbit enters it, or
+    None.
     """
 
     n: int
@@ -546,7 +511,8 @@ class GraphSummary:
     cycles: tuple[tuple[State, ...], ...]
     max_tail: int
     ge_states: tuple[State, ...] | _Stream
-    edges: _Stream | None = field(default=None, repr=False)
+    edges: _Stream = field(repr=False)
+    smallest_ge: tuple[State | None, ...] = ()
 
     @property
     def component_count(self) -> int:
@@ -570,8 +536,6 @@ class GraphSummary:
 
     def dot_chunks(self) -> Iterator[str]:
         """The text of to_dot(), a piece at a time."""
-        if self.edges is None:
-            raise ValueError("summary was built without keep_edges=True")
         yield f"digraph {self.variant}_n{self.n} {{"
         lines = chain(
             (f'\n  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states),
@@ -594,31 +558,57 @@ def analyze_state_space(
     variant: str = "bulgarian",
     *,
     L: int | None = None,
-    keep_edges: bool = False,
     limit: float = inf,
 ) -> GraphSummary:
     """Exhaustively analyze every state of total n under one variant, as
-    its record in get_variant describes the graph (see _walk_graph).
+    its record in get_variant describes the graph.
 
-    The walked graphs hold exactly the total(n, L) states, which a caller
-    can size beforehand.  The Montreal graph's cycles leave its seeds;
-    everything visited is counted, and visiting more than limit states
-    raises EnumerationBoundError.
+    A graph with a predecessor rule is walked back from its cycles, and
+    the walk checks itself: it must reach all total(n, L) states, or a
+    cycle was missed.  The component count is the number of cycles the
+    walk started from, never the total it is compared against.  Each
+    cycle must also step round under the variant's own move; the dual
+    move refuses the empty partition of 0 cards here.  A caller can size
+    these graphs beforehand with total(n, L).
+
+    A graph without one (Montreal) is its cycles: no tails, no Garden of
+    Eden state.  Its cycles leave its seeds; everything visited is
+    counted, and visiting more than limit states raises
+    EnumerationBoundError.
     """
     game = get_variant(variant, L=L)
     if game.cycles is None:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    cycles, walk, states, is_ge = _walk_graph(game, n, L, limit)
+    cycles = game.cycles(n, L, limit)
+    if game.predecessors is None:
+        count, max_tail, ge_count, smallest_ge = sum(map(len, cycles)), 0, 0, (None,) * len(cycles)
+        states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
+    else:
+        count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors, game.is_ge)
+        total = game.total(n, L)
+        if count != total:
+            raise WalkError(
+                f"the walk back from the cycles counted {count} states, "
+                f"not the {total} {game.what.format(n=n, L=L)}"
+            )
+        is_ge = game.is_ge
+        if game.mirror is not None:
+            cycles = sorted(_rotated(tuple(map(game.mirror, cyc))) for cyc in cycles)
+            is_ge = game.mirror_ge
+        for cyc in cycles:
+            if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+                raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
+        states = partial(game.states, n, L)
     step = game.step
     return GraphSummary(
         n=n,
         variant=variant,
-        state_count=walk.states,
+        state_count=count,
         cycles=tuple(cycles),
-        max_tail=walk.max_tail,
-        ge_states=_Stream(lambda: filter(is_ge, states()), walk.ge_count) if walk.ge_count else (),
-        edges=_Stream(lambda: ((x, step(x)) for x in states()), walk.states)
-        if keep_edges else None,
+        max_tail=max_tail,
+        ge_states=_Stream(lambda: filter(is_ge, states()), ge_count) if ge_count else (),
+        edges=_Stream(lambda: ((x, step(x)) for x in states()), count),
+        smallest_ge=smallest_ge,
     )
 
 
@@ -652,12 +642,12 @@ class KnuthReport:
 def knuth_exponent_check(k: int) -> KnuthReport:
     """Check that B^(k(k-1)) sends every partition of k(k+1)/2 to the staircase.
 
-    The claim holds exactly when the walk back from the cycles finds one
-    cycle, the staircase, and no state farther from it than the exponent;
-    the walk checks that it counted all p(n) partitions.  Memory follows
-    the walk's depth.  Only when the claim fails are the witnesses listed:
-    every partition whose orbit ends elsewhere or takes longer, in
-    enumeration order.
+    The claim holds exactly when analyze_state_space finds one cycle, the
+    staircase, and no state farther from it than the exponent; its walk
+    back from the cycles checks that it counted all p(n) partitions.
+    Memory follows the walk's depth.  Only when the claim fails are the
+    witnesses listed: every partition whose orbit ends elsewhere or takes
+    longer, in enumeration order.
     """
     return _knuth_check(k, k * (k - 1))
 
@@ -667,15 +657,15 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
         raise ValueError(f"k must be positive, got {k}")
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    cycles, walk, _, _ = _walk_graph(get_variant("bulgarian"), n)
-    if cycles == [(sigma,)] and walk.max_tail <= exponent:
-        return KnuthReport(k, n, exponent, walk.states, ())
+    g = analyze_state_space(n)
+    if g.cycles == ((sigma,),) and g.max_tail <= exponent:
+        return KnuthReport(k, n, exponent, g.state_count, ())
     bad = []
     for lam in enumerate_partitions(n):
         result = orbit(lam, bulgarian_step)
         if result.cycle != (sigma,) or result.tail > exponent:
             bad.append(lam)
-    return KnuthReport(k, n, exponent, walk.states, tuple(bad))
+    return KnuthReport(k, n, exponent, g.state_count, tuple(bad))
 
 
 @dataclass(frozen=True)
@@ -731,13 +721,14 @@ class ReachabilityReport:
 
 def ge_reachability_check(n: int) -> ReachabilityReport:
     """Verify every cycle of the Bulgarian graph is entered by some
-    Garden of Eden orbit.  Defined for n >= 3: the two smallest card
-    counts have no Garden of Eden states at all."""
+    Garden of Eden orbit, replaying the orbit of each cycle's smallest_ge
+    in analyze_state_space's summary.  Defined for n >= 3: the two
+    smallest card counts have no Garden of Eden states at all."""
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
-    cycles, walk, _, _ = _walk_graph(get_variant("bulgarian"), n)
-    witnesses = []
-    for cyc, ge in zip(cycles, walk.smallest_ge):
-        path = () if ge is None else orbit(ge, bulgarian_step).path
-        witnesses.append(CycleWitness(cyc, ge, path))
-    return ReachabilityReport(n, None not in walk.smallest_ge, tuple(witnesses))
+    g = analyze_state_space(n)
+    witnesses = tuple(
+        CycleWitness(cyc, ge, () if ge is None else orbit(ge, bulgarian_step).path)
+        for cyc, ge in zip(g.cycles, g.smallest_ge)
+    )
+    return ReachabilityReport(n, None not in g.smallest_ge, witnesses)

@@ -317,16 +317,18 @@ def test_cli_graph_austrian_needs_positive_L(capsys):
 
 def test_cli_graph_n_0(capsys):
     # the empty partition is the one state of the Bulgarian and Austrian
-    # games; the dual move needs a pile to deal out, and compositions start at 1
+    # games; the dual move needs a pile to deal out, and compositions start
+    # at 1, whatever the limit
     for argv in (("--variant", "bulgarian"), ("--variant", "austrian", "--L", "2")):
         code, out, err = run_cli(capsys, "graph", "--n", "0", "--format", "json", *argv)
         assert code == 0
         assert err == ""
         assert json.loads(out)["state_count"] == 1
-    for variant, message in [("dual", "dual step needs a nonempty partition"),
-                             ("carolina", "n must be positive, got 0"),
-                             ("montreal", "n must be positive, got 0")]:
-        code, out, err = run_cli(capsys, "graph", "--n", "0", "--variant", variant)
+    for argv, message in [(("--variant", "dual"), "dual step needs a nonempty partition"),
+                          (("--variant", "carolina"), "n must be positive, got 0"),
+                          (("--variant", "carolina", "--limit", "0"), "n must be positive, got 0"),
+                          (("--variant", "montreal"), "n must be positive, got 0")]:
+        code, out, err = run_cli(capsys, "graph", "--n", "0", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bsol.cli import main
 from bsol.partitions import enumerate_partitions
 from bsol.operators import bulgarian_step, montreal_step
 from bsol.dynamics import (
@@ -265,7 +266,7 @@ def test_ge_reachability_witnesses_replay():
 # --- exports ---
 
 def test_graph_dot_export():
-    g = analyze_state_space(6, keep_edges=True)
+    g = analyze_state_space(6)
     dot = g.to_dot()
     assert dot.startswith("digraph")
     assert '"3,2,1" -> "3,2,1"' in dot
@@ -274,10 +275,11 @@ def test_graph_dot_export():
     assert '"1,1,1,1,1,1" [ge=true' in dot
 
 
-def test_graph_dot_requires_edges():
-    g = analyze_state_space(6)
-    with pytest.raises(ValueError):
-        g.to_dot()
+def test_graph_dot_needs_no_flag_and_matches_the_cli(capsys):
+    # every summary streams its edges, so to_dot() is the CLI's DOT output
+    dot = analyze_state_space(6).to_dot()
+    assert main(["graph", "--n", "6", "--format", "dot"]) == 0
+    assert capsys.readouterr().out == dot + "\n"
 
 
 def test_graph_json_roundtrip_shape():

@@ -627,7 +627,7 @@ GRAPHS = [
 
 @pytest.mark.parametrize("variant, n, L", GRAPHS)
 def test_graph_writers_match_json_dumps_and_the_dot_loop(variant, n, L):
-    g = analyze_state_space(n, variant, L=L, keep_edges=True)
+    g = analyze_state_space(n, variant, L=L)
     assert g.to_json() == graph_json_oracle(g)
     assert g.to_dot() == graph_dot_oracle(g)
 
@@ -733,7 +733,7 @@ def test_explorer_matches_the_two_map_walk(variant, n, L):
     # the one graph explorer, the walk back from the cycles or, for Montreal,
     # its seeds' cycles, against the forward walk with its successor and
     # distance maps
-    walked = analyze_state_space(n, variant, L=L, keep_edges=True)
+    walked = analyze_state_space(n, variant, L=L)
     assert_same_graph(walked, explored_summary_oracle(n, variant, L))
 
 
@@ -768,7 +768,9 @@ def test_one_total_sizes_the_guard_and_the_walk():
 
 def test_ge_reachability_matches_counter_pass():
     for n in range(3, 15):
-        assert ge_reachability_check(n) == ge_reachability_oracle(n)
+        oracle = ge_reachability_oracle(n)
+        assert ge_reachability_check(n) == oracle
+        assert analyze_state_space(n).smallest_ge == tuple(w.ge_state for w in oracle.witnesses)
 
 
 # --- the backward walk from the cycles ---
@@ -794,13 +796,13 @@ def test_ascending_enumeration_is_the_sorted_partitions():
 @pytest.mark.parametrize("variant, first", [("bulgarian", 0), ("dual", 1)])
 def test_walk_matches_the_forward_explorer(variant, first):
     for n in range(first, 41):
-        walked = analyze_state_space(n, variant, keep_edges=True)
+        walked = analyze_state_space(n, variant)
         assert_same_graph(walked, explored_summary_oracle(n, variant))
 
 
 def test_carolina_walk_matches_the_forward_explorer():
     for n in range(1, 17):
-        walked = analyze_state_space(n, "carolina", keep_edges=True)
+        walked = analyze_state_space(n, "carolina")
         assert walked.state_count == 2 ** (n - 1), n
         assert_same_graph(walked, explored_summary_oracle(n, "carolina"))
 
@@ -959,7 +961,7 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     # ... which steps its one cycle twice, orbiting it and checking it, and
     # the DOT edges step each of the 11 partitions of 6 once
     calls.clear()
-    analyze_state_space(6, keep_edges=True).to_dot()
+    analyze_state_space(6).to_dot()
     assert calls["bulgarian_step"] == 2 + 11
 
 
