@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from math import comb
 from typing import Iterator
 
@@ -25,11 +26,12 @@ from .dynamics import (
     garden_of_eden_test,
     get_variant,
     knuth_exponent_check,
-    orbit,
-    orbit_json_lines,
     state_label,
+    state_to_jsonable,
     state_total,
+    tail_cycle,
     toom_path,
+    trajectory,
 )
 # partition_count stays importable here: bench/tracing.py wraps it by name
 from .necklaces import list_necklaces, necklace_count, partition_count
@@ -54,8 +56,8 @@ NECKLACE_K_BOUND = 14_284
 # toom takes k(k-1) steps on k(k+1)/2 cards, about k^4 work; k = 100 takes seconds
 TOOM_K_BOUND = 100
 # an orbit from one pile of n cards takes about n moves on states of up to n
-# parts; at 4,000 cards the slowest variant, montreal, takes about 2 s, and
-# past 4,096 its orbit from one pile doubles to 8,196 moves
+# parts; at 4,000 cards the slowest variant, montreal, takes about 3.5 s in
+# O(1) states, and past 4,096 its orbit from one pile doubles to 8,196 moves
 ORBIT_CARD_BOUND = 4_000
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
@@ -165,7 +167,7 @@ def _cmd_orbit(args) -> int:
             f"an orbit of {total} cards is over the bound of {ORBIT_CARD_BOUND} cards"
         )
     try:
-        result = orbit(start, variant.step, step_bound=args.step_bound)
+        tail, length = tail_cycle(start, variant.step, step_bound=args.step_bound)
     except StepBoundError as exc:
         if args.step_bound is not None:
             raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
@@ -174,15 +176,16 @@ def _cmd_orbit(args) -> int:
                 f"{exc}, the default bound; montreal orbits have no proven bound"
             ) from None
         raise  # no finite variant's orbit is known to pass it, so this is a defect
+    # the path is walked again as it is written, so nothing holds all of it
+    path = islice(trajectory(start, variant.step), tail + length + 1)
     if args.format == "json":
-        print("\n".join(orbit_json_lines(result)))
-        return 0
-    print(f"variant: {args.variant}")
-    print(f"tail length: {result.tail}")
-    print(f"cycle length: {result.cycle_length}")
-    for idx, state in enumerate(result.path):
-        marker = " *" if idx >= result.tail else ""
-        print(f"{idx:4d}  {state_label(state)}{marker}")
+        lines = (json.dumps(state_to_jsonable(s), separators=(",", ":")) for s in path)
+    else:
+        print(f"variant: {args.variant}")
+        print(f"tail length: {tail}")
+        print(f"cycle length: {length}")
+        lines = (f"{i:4d}  {state_label(s)}{' *' if i >= tail else ''}" for i, s in enumerate(path))
+    sys.stdout.writelines(line + "\n" for line in lines)
     return 0
 
 

@@ -12,6 +12,7 @@ partition, and reachability of every cycle from a Garden of Eden state.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, permutations
@@ -157,56 +158,44 @@ class OrbitResult:
         return len(self.cycle)
 
 
-def orbit(start: State, step: StepFn, step_bound: int | None = None) -> OrbitResult:
-    """Iterate step until the first state repetition.
+def trajectory(start: State, step: StepFn) -> Iterator[State]:
+    """start, step(start), step(step(start)), ... without end."""
+    while True:
+        yield start
+        start = step(start)
 
-    path holds tail + cycle_length + 1 states (the repeat included);
-    exceeding step_bound raises StepBoundError, which signals a defect
-    on the finite state spaces, not on Montreal's infinite one.
-    """
+
+def tail_cycle(start: State, step: StepFn, step_bound: int | None = None) -> tuple[int, int]:
+    """(tail, cycle_length) of start's orbit by Brent's method ("An improved
+    Monte Carlo factorization algorithm"), in O(1) states.  StepBoundError
+    means a first repeat after more than most = max(step_bound, 1) moves:
+    with one within them, the tortoise that waits out the first window of
+    most or more moves would sit on the cycle, and the hare meet it there."""
     if step_bound is None:
         step_bound = default_step_bound(start)
-    seen = {start: 0}
-    path = [start]
-    while True:
-        x = step(path[-1])
-        path.append(x)
-        if x in seen:
-            first = seen[x]
-            return OrbitResult(tuple(path), first, tuple(path[first:-1]))
-        if len(path) - 1 >= step_bound:
-            raise StepBoundError(
-                f"no repetition within {step_bound} steps from {state_label(start)}"
-            )
-        seen[x] = len(path) - 1
-
-
-def floyd_tail_cycle(start: State, step: StepFn) -> tuple[int, int]:
-    """Constant-memory tortoise-and-hare; returns (tail, cycle_length)."""
-    tortoise = step(start)
-    hare = step(step(start))
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(step(hare))
-    tail = 0
-    tortoise = start
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        tail += 1
-    length = 1
-    hare = step(tortoise)
-    while tortoise != hare:
+    most = max(step_bound, 1)
+    tortoise, hare = start, step(start)
+    power = length = 1
+    while tortoise != hare and length < most:
+        if length == power:
+            tortoise, power, length = hare, 2 * power, 0
         hare = step(hare)
         length += 1
+    if tortoise == hare:  # length moves apart, both on the cycle: it is the cycle's length
+        tortoise, hare, tail = start, next(islice(trajectory(start, step), length, None)), 0
+        while tortoise != hare and tail + length < most:
+            tortoise, hare = step(tortoise), step(hare)
+            tail += 1
+    if tortoise != hare:
+        raise StepBoundError(f"no repetition within {step_bound} steps from {state_label(start)}")
     return tail, length
 
 
-def orbit_json_lines(result: OrbitResult) -> list[str]:
-    """One compact JSON object per path state."""
-    return [
-        json.dumps(state_to_jsonable(s), separators=(",", ":")) for s in result.path
-    ]
+def orbit(start: State, step: StepFn, step_bound: int | None = None) -> OrbitResult:
+    """start's orbit, walked again through the first repeat that tail_cycle finds."""
+    tail, length = tail_cycle(start, step, step_bound)
+    path = tuple(islice(trajectory(start, step), tail + length + 1))
+    return OrbitResult(path, tail, path[tail:-1])
 
 
 # --- variant registry ---
@@ -219,7 +208,8 @@ class Variant:
     Only the Austrian game reads the lifetime L that each fact takes.  A
     graph without a predecessor rule (Montreal) is its cycles, and total
     counts its seeds.  The dual graph is the Bulgarian graph conjugated,
-    walked as that graph: mirror maps the walked cycles onto its own.
+    walked as that graph: mirror maps the walked cycles and their smallest
+    GE states onto its own, which mirror_lt picks out in the walk.
     """
 
     name: str
@@ -233,6 +223,7 @@ class Variant:
     what: str = ""  # those states, with {n} and {L}, for the walk's self-check
     mirror: StepFn | None = None
     mirror_ge: Callable | None = None  # the GE rule of the mirrored graph
+    mirror_lt: Callable = operator.lt  # mirror(x) < mirror(y): which GE state is smallest
 
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
@@ -262,7 +253,9 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
     registry = {
         "bulgarian": Variant("bulgarian", bulgarian_step, "partition", **partitions),
         "dual": Variant(
-            "dual", dual_step, "partition", **partitions, mirror=conjugate, mirror_ge=_dual_ge
+            "dual", dual_step, "partition", **partitions, mirror=conjugate, mirror_ge=_dual_ge,
+            # conjugates order as the part counts, then as the parts read upwards
+            mirror_lt=lambda x, y: (len(x), x[::-1]) < (len(y), y[::-1]),
         ),
         "carolina": Variant(
             "carolina", carolina_step, "strict",
@@ -270,11 +263,11 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
         ),
-        # the seeds: (n), then C(n-2+j, j) with j = 1..n-1 more parts, a hockey-stick sum
+        # the seeds: (n), then C(n-2+j, j) with j = 1..n-1 more parts; none at n = 0
         "montreal": Variant(
             "montreal", montreal_step, "montreal",
             cycles=lambda n, L, limit: _montreal_cycles(n, limit),
-            total=lambda n, L: comb(2 * n - 2, n - 1) if n else 1,
+            total=lambda n, L: comb(2 * n - 2, n - 1) if n else 0,
         ),
         "austrian": Variant(
             "austrian", austrian_step, "austrian",
@@ -365,11 +358,11 @@ def _dual_ge(lam: Partition) -> bool:
     return len(lam) < lam[0] - 1
 
 
-def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
+def _walk_back(cycles, predecessors, is_ge, lt) -> tuple[int, int, int, tuple]:
     """Walk a graph backwards from its cycles, depth first: (the states
     reached, cycles included; the largest distance to a cycle among them;
     the Garden of Eden states among them; per cycle, its smallest Garden
-    of Eden state or None).
+    of Eden state by lt, or None).
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
@@ -396,7 +389,7 @@ def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
             count += 1
             if is_ge(x):
                 ge_count += 1
-                if first is None or x < first:
+                if first is None or lt(x, first):
                     first = x
                 # a state with predecessors has one farther out, so the
                 # farthest state is a Garden of Eden state
@@ -584,7 +577,8 @@ def analyze_state_space(
         count, max_tail, ge_count, smallest_ge = sum(map(len, cycles)), 0, 0, (None,) * len(cycles)
         states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
     else:
-        count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors, game.is_ge)
+        count, max_tail, ge_count, smallest_ge = _walk_back(
+            cycles, game.predecessors, game.is_ge, game.mirror_lt)
         total = game.total(n, L)
         if count != total:
             raise WalkError(
@@ -592,9 +586,12 @@ def analyze_state_space(
                 f"not the {total} {game.what.format(n=n, L=L)}"
             )
         is_ge = game.is_ge
-        if game.mirror is not None:
-            cycles = sorted(_rotated(tuple(map(game.mirror, cyc))) for cyc in cycles)
-            is_ge = game.mirror_ge
+        if game.mirror is not None:  # a GE state is nonempty; each stays with its cycle
+            mirror, is_ge = game.mirror, game.mirror_ge
+            cycles, smallest_ge = zip(*sorted(
+                (_rotated(tuple(map(mirror, cyc))), ge and mirror(ge))
+                for cyc, ge in zip(cycles, smallest_ge)
+            ))
         for cyc in cycles:
             if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
                 raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
@@ -646,8 +643,8 @@ def knuth_exponent_check(k: int) -> KnuthReport:
     staircase, and no state farther from it than the exponent; its walk
     back from the cycles checks that it counted all p(n) partitions.
     Memory follows the walk's depth.  Only when the claim fails are the
-    witnesses listed: every partition whose orbit ends elsewhere or takes
-    longer, in enumeration order.
+    witnesses listed, in enumeration order: every partition that B^(k(k-1))
+    does not send to the staircase, a fixed point.
     """
     return _knuth_check(k, k * (k - 1))
 
@@ -660,12 +657,11 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
     g = analyze_state_space(n)
     if g.cycles == ((sigma,),) and g.max_tail <= exponent:
         return KnuthReport(k, n, exponent, g.state_count, ())
-    bad = []
-    for lam in enumerate_partitions(n):
-        result = orbit(lam, bulgarian_step)
-        if result.cycle != (sigma,) or result.tail > exponent:
-            bad.append(lam)
-    return KnuthReport(k, n, exponent, g.state_count, tuple(bad))
+    bad = tuple(
+        lam for lam in enumerate_partitions(n)
+        if next(islice(trajectory(lam, bulgarian_step), exponent, None)) != sigma
+    )
+    return KnuthReport(k, n, exponent, g.state_count, bad)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,14 @@ def test_cli_orbit_user_step_bound_too_small_exits_2(capsys):
     assert run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", "20")[0] == 0
 
 
+def test_cli_orbit_returns_within_a_bound_below_one_move(capsys):
+    # the first move is always made and tested for a repeat before the
+    # bound is, so a fixed point passes any bound
+    expected = "variant: bulgarian\ntail length: 0\ncycle length: 1\n   0  3,2,1 *\n   1  3,2,1 *\n"
+    for bound in ("0", "-3"):
+        assert run_cli(capsys, "orbit", "--state", "3,2,1", "--step-bound", bound) == (0, expected, "")
+
+
 def test_cli_orbit_guard_lets_the_bound_itself_through(capsys):
     bound = bsol.cli.ORBIT_CARD_BOUND
     code, out, _ = run_cli(capsys, "orbit", "--state", str(bound))
@@ -210,7 +218,7 @@ def test_cli_orbit_guard_refuses_large_states_at_once(capsys, monkeypatch, argv)
     def walked(*args, **kwargs):
         raise AssertionError("the guard let the orbit start")
 
-    monkeypatch.setattr(bsol.cli, "orbit", walked)
+    monkeypatch.setattr(bsol.cli, "tail_cycle", walked)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "orbit", *argv)
     assert time.perf_counter() - start < 1
@@ -327,7 +335,8 @@ def test_cli_graph_n_0(capsys):
     for argv, message in [(("--variant", "dual"), "dual step needs a nonempty partition"),
                           (("--variant", "carolina"), "n must be positive, got 0"),
                           (("--variant", "carolina", "--limit", "0"), "n must be positive, got 0"),
-                          (("--variant", "montreal"), "n must be positive, got 0")]:
+                          (("--variant", "montreal"), "n must be positive, got 0"),
+                          (("--variant", "montreal", "--limit", "0"), "n must be positive, got 0")]:
         code, out, err = run_cli(capsys, "graph", "--n", "0", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -607,8 +616,10 @@ def _total(variant, n, L=None):
 
 def test_montreal_size_is_the_closed_form_of_the_stratum_sum():
     # the stratum of n cards in at most n parts: (n) plus C(n-2+j, j)
-    # compositions with j parts past the first
-    for n in range(0, 120):
+    # compositions with j parts past the first; 0 cards make no composition
+    # with positive endpoints
+    assert _total("montreal", 0) == 0
+    for n in range(1, 120):
         oracle = 1 + sum(comb(n - 3 + c, c - 1) for c in range(2, n + 1))
         assert _total("montreal", n) == oracle
     for n in range(1, 10):
@@ -765,6 +776,14 @@ def test_austrian_n70_peak_under_40_mb():
     # its 198,963 states; the forward explorer's maps took 166 MB here
     peak_kb = child_peak_kb(("graph", "--variant", "austrian", "--n", "70", "--L", "6"))
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_montreal_orbit_of_4000_cards_peak_under_25_mb():
+    # the cycle finder holds O(1) states and the path is written as it is
+    # walked again; a map of every state took 108.6 MB here
+    peak_kb = child_peak_kb(("orbit", "--variant", "montreal", "--state", "4000"))
+    assert peak_kb < 25 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")

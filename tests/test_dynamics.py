@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -9,13 +8,11 @@ from bsol.operators import bulgarian_step, montreal_step
 from bsol.dynamics import (
     StepBoundError,
     analyze_state_space,
-    floyd_tail_cycle,
     garden_of_eden_test,
     ge_reachability_check,
     get_variant,
     knuth_exponent_check,
     orbit,
-    orbit_json_lines,
     toom_path,
 )
 
@@ -76,16 +73,6 @@ def test_orbit_montreal_18_cycle():
 def test_orbit_step_bound():
     with pytest.raises(StepBoundError):
         orbit((4, 3, 3), bulgarian_step, step_bound=3)
-
-
-def test_floyd_agrees_with_visited_set():
-    rng = random.Random(414)
-    for n in (10, 20, 30):
-        partitions = list(enumerate_partitions(n))
-        for _ in range(1000):
-            lam = rng.choice(partitions)
-            res = orbit(lam, bulgarian_step)
-            assert floyd_tail_cycle(lam, bulgarian_step) == (res.tail, res.cycle_length)
 
 
 # --- state-space analysis ---
@@ -290,14 +277,6 @@ def test_graph_json_roundtrip_shape():
     assert data["component_count"] == 2
     assert len(data["cycles"]) == 2
     assert data["state_count"] == 22
-
-
-def test_orbit_json_lines():
-    res = orbit((4, 3, 3), bulgarian_step)
-    lines = orbit_json_lines(res)
-    assert len(lines) == res.tail + res.cycle_length + 1
-    first = json.loads(lines[0])
-    assert first == {"parts": [4, 3, 3], "n": 10}
 
 
 def test_variant_registry():

@@ -7,8 +7,8 @@ integer total divided by the same n; a ValueError must be raised by both
 or by neither, with the same message.  The JSON and DOT writers are
 compared with json.dumps and the old DOT loop.  Where a primitive had two
 copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
-Montreal recursion), the copy that was folded away is the oracle for the
-one that stayed.  The graph stages that became single passes (the
+Montreal recursion, the orbit's cycle finder), the copy that was folded
+away is the oracle for the one that stayed.  The graph stages that became single passes (the
 Montreal move's loop, the composition loop) keep their earlier versions
 as oracles too.  Every graph, walked back from its cycles or, for
 Montreal, read off its seeds' cycles, is compared with the forward
@@ -20,6 +20,7 @@ pinned by SHA-256.
 
 import hashlib
 import json
+import random
 from collections import Counter
 from itertools import combinations, product, repeat, zip_longest
 
@@ -33,6 +34,7 @@ from bsol.dynamics import (
     CycleWitness,
     GraphSummary,
     KnuthReport,
+    OrbitResult,
     ReachabilityReport,
     StepBoundError,
     ToomReport,
@@ -48,7 +50,9 @@ from bsol.dynamics import (
     get_variant,
     knuth_exponent_check,
     orbit,
+    state_label,
     state_to_jsonable,
+    tail_cycle,
     toom_path,
 )
 from bsol.operators import (
@@ -370,6 +374,25 @@ def toom_path_oracle(k):
     return ToomReport(k, tau, s, expected, conjugacy, tuple(path))
 
 
+def orbit_oracle(start, step, step_bound=None):
+    """orbit as it kept a map of every state it passed."""
+    if step_bound is None:
+        step_bound = default_step_bound(start)
+    seen = {start: 0}
+    path = [start]
+    while True:
+        x = step(path[-1])
+        path.append(x)
+        if x in seen:
+            first = seen[x]
+            return OrbitResult(tuple(path), first, tuple(path[first:-1]))
+        if len(path) - 1 >= step_bound:
+            raise StepBoundError(
+                f"no repetition within {step_bound} steps from {state_label(start)}"
+            )
+        seen[x] = len(path) - 1
+
+
 def ge_counter_oracle(succ):
     indeg = Counter(succ.values())
     return tuple(sorted(s for s in succ if indeg[s] == 0))
@@ -395,6 +418,17 @@ def ge_reachability_oracle(n):
         else:
             witnesses.append(CycleWitness(cycles[key], ge, orbit(ge, bulgarian_step).path))
     return ReachabilityReport(n, holds, tuple(witnesses))
+
+
+def smallest_ge_oracle(n, variant):
+    """Per cycle, in ascending order, the smallest Garden of Eden state
+    whose orbit ends on it, or None."""
+    step = get_variant(variant).step
+    succ, _, _, cycles = explore_oracle(STATES[variant](n, None), step)
+    smallest = {}
+    for x in ge_counter_oracle(succ):
+        smallest.setdefault(min(orbit_oracle(x, step).cycle), x)
+    return tuple(smallest.get(key) for key in sorted(cycles))
 
 
 # every state of n cards, or every Montreal seed, from the public
@@ -479,11 +513,14 @@ def chain_means_oracle(counts, samples):
 
 
 def outcome(fn, *args):
-    """The result, or the ValueError's message, so both can be compared."""
+    """The result, or the ValueError's or StepBoundError's message, so both
+    can be compared."""
     try:
         return fn(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
+    except StepBoundError as exc:
+        return ("StepBoundError", str(exc))
 
 
 def small_partitions(max_n=14):
@@ -719,6 +756,55 @@ def test_toom_path_matches_its_own_step_loop():
         assert outcome(toom_path, k) == outcome(toom_path_oracle, k)
 
 
+def random_orbit_start(rng, variant):
+    """A start of 1..14 cards: Montreal with interior zeros, the circular
+    games with empty seats."""
+    n = rng.randint(1, 14)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    alpha = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))  # a composition of n
+    seats = [0] * rng.randint(1, 6)
+    for _ in range(n):
+        seats[rng.randrange(len(seats))] += 1
+    if variant in ("bulgarian", "dual"):
+        return normalize(alpha)
+    if variant == "carolina":
+        return alpha
+    if variant == "montreal":
+        return alpha[:1] + tuple(p for a in alpha[1:] for p in (0,) * rng.randint(0, 2) + (a,))
+    if variant == "austrian":
+        L = rng.randint(1, 5)
+        bank = rng.randrange(min(L, n + 1))
+        return AustrianState(normalize(min(p, L) for p in alpha), bank, L)
+    if variant == "servedio_yeh":
+        return tuple(seats)
+    if variant == "janetzko":
+        return PointerState(tuple(seats), rng.randint(1, len(seats)))
+    return MultiplayerState(tuple(normalize(alpha[i::len(seats)]) for i in range(len(seats))))
+
+
+ORBIT_VARIANTS = ["bulgarian", "dual", "carolina", "montreal", "austrian",
+                  "servedio_yeh", "janetzko", "multiplayer"]
+
+
+@pytest.mark.parametrize("variant", ORBIT_VARIANTS)
+def test_brent_orbit_matches_the_state_map(variant):
+    # the repeat comes after m = tail + cycle_length moves, and each bound
+    # sits below, at or above m, or is the default, which some Janetzko
+    # orbits pass
+    rng = random.Random(ORBIT_VARIANTS.index(variant))
+    step = get_variant(variant, L=1).step
+    for _ in range(300):
+        start = random_orbit_start(rng, variant)
+        first = orbit_oracle(start, step, 10**6)
+        m = first.tail + first.cycle_length
+        for bound in (-2, 0, 1, 2, m - 1, m, m + 1, 2 * m, 3 * m, None):
+            expected = outcome(orbit_oracle, start, step, bound)
+            assert outcome(orbit, start, step, bound) == expected, (start, bound)
+            if isinstance(expected, OrbitResult):
+                expected = (expected.tail, expected.cycle_length)
+            assert outcome(tail_cycle, start, step, bound) == expected, (start, bound)
+
+
 ENUMERABLE = [
     *[("bulgarian", n, None) for n in range(11)],
     *[("dual", n, None) for n in range(1, 11)],
@@ -771,6 +857,7 @@ def test_ge_reachability_matches_counter_pass():
         oracle = ge_reachability_oracle(n)
         assert ge_reachability_check(n) == oracle
         assert analyze_state_space(n).smallest_ge == tuple(w.ge_state for w in oracle.witnesses)
+        assert analyze_state_space(n, "dual").smallest_ge == smallest_ge_oracle(n, "dual")
 
 
 # --- the backward walk from the cycles ---
@@ -937,7 +1024,11 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
                          (bsol.stochastic, "potential_energy")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     toom_path(5)
-    assert calls["bulgarian_step"] == 5 * 4 + 1  # the last step repeats the staircase
+    # the 20 moves to the staircase, a fixed point: the hare meets the
+    # tortoise saved at move 31 one move later (32 calls), the tail is found
+    # from a hare one move ahead (1 + 2 * 20), and the path of 22 states is
+    # walked again (21)
+    assert calls["bulgarian_step"] == 32 + 1 + 2 * 20 + 21
     # a chain draws and moves in one loop per variant; its statistics are
     # read once per distinct state
     for config in (ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7),
@@ -958,11 +1049,12 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
-    # ... which steps its one cycle twice, orbiting it and checking it, and
-    # the DOT edges step each of the 11 partitions of 6 once
+    # ... whose one cycle, the fixed staircase, is stepped four times: the
+    # finder's repeat, its hare one move ahead, the path walked again and
+    # the check; the DOT edges step each of the 11 partitions of 6 once
     calls.clear()
     analyze_state_space(6).to_dot()
-    assert calls["bulgarian_step"] == 2 + 11
+    assert calls["bulgarian_step"] == 4 + 11
 
 
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
