@@ -194,8 +194,8 @@ def _cmd_graph(args) -> int:
     get_variant(args.variant, L=args.L)
     limit = _state_limit(args)
     _check_space(args.variant, args.n, args.L, limit)
-    # the seeds are sized above; montreal orbits leave them, so every
-    # state they visit counts against the limit too
+    # the seeds are sized above; montreal cycles leave them, so the states
+    # on those cycles count against the limit too, before anything is printed
     summary = analyze_state_space(args.n, args.variant, L=args.L, limit=limit)
     if args.format in ("json", "dot"):
         chunks = summary.json_chunks() if args.format == "json" else summary.dot_chunks()

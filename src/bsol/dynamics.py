@@ -77,50 +77,76 @@ def state_to_jsonable(state: State) -> dict:
 
 # bsol writes one JSON layout, that of json.dumps(..., indent=2): _NL[d]
 # starts a line d levels down and _SEP[d] separates two members there.
-_NL = tuple("\n" + "  " * depth for depth in range(5))
+_NL = tuple("\n" + "  " * depth for depth in range(6))
 _SEP = tuple("," + nl for nl in _NL)
 
-# a nonempty partition's object two levels down, around its parts and n
-_STATE_HEAD = "{" + _NL[3] + '"parts": [' + _NL[4]
-_STATE_SEP = _SEP[4]
-_STATE_MID = _NL[3] + "]" + _SEP[3] + '"n": '
-_STATE_TAIL = _NL[2] + "}"
-# members of a large JSON list or dict, or DOT lines, per output chunk: one
-# write per member would cost more than the member, one chunk would hold all
-_BATCH = 512
+# a nonempty partition's object d levels down, d = 2 or 3: the texts before
+# its parts, between two parts, between its parts and n, and after n
+_STATE_TEXTS = {
+    depth: ("{" + _NL[depth + 1] + '"parts": [' + _NL[depth + 2], _SEP[depth + 2],
+            _NL[depth + 1] + "]" + _SEP[depth + 1] + '"n": ', _NL[depth] + "}")
+    for depth in (2, 3)
+}
+# characters per output chunk of a large JSON list or dict, or of DOT lines:
+# one write per member would cost more than the member, one chunk would
+# hold all, and a member runs from one state's text to a Montreal cycle's
+_CHUNK = 1 << 14
 
 
-def _state_json(state: State) -> str:
-    """json.dumps(state_to_jsonable(state), indent=2) as it reads two
-    levels down a document.
+def _state_json(state: State, depth: int = 2) -> str:
+    """json.dumps(state_to_jsonable(state), indent=2) as it reads depth
+    levels down a document, depth = 2 or 3.
 
-    Nonempty tuples fill the template above with the parts' texts.  Other
+    Nonempty tuples fill the texts above with the parts' texts.  Other
     states go through json.dumps, re-indented at every newline: json
     escapes newlines inside strings, so each raw one starts a line.
     """
     if isinstance(state, tuple) and state:
-        return f"{_STATE_HEAD}{join_parts(state, _STATE_SEP)}{_STATE_MID}{sum(state)}{_STATE_TAIL}"
-    return json.dumps(state_to_jsonable(state), indent=2).replace("\n", _NL[2])
+        head, sep, mid, tail = _STATE_TEXTS[depth]
+        return f"{head}{join_parts(state, sep)}{mid}{sum(state)}{tail}"
+    return json.dumps(state_to_jsonable(state), indent=2).replace("\n", _NL[depth])
 
 
-def json_with_bulk(head: dict, key: str, brackets: str, members: Iterable[str]) -> Iterator[str]:
-    """json.dumps({**head, key: value}, indent=2), in chunks, for a large
-    list or dict value whose members come already rendered, two levels down.
+def _cycle_json(cycle: Iterable[State]) -> str:
+    """json.dumps([state_to_jsonable(s) for s in cycle], indent=2) as it
+    reads two levels down a document, for a nonempty cycle."""
+    states = _SEP[3].join([_state_json(s, 3) for s in cycle])
+    return f"[{_NL[3]}{states}{_NL[2]}]"
+
+
+def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
+    """texts in consecutive lists of about _CHUNK characters."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def json_with_bulk(head: dict, *bulk: tuple[str, str, Iterable[str]]) -> Iterator[str]:
+    """json.dumps({**head, key: value, ...}, indent=2), in chunks, for each
+    (key, brackets, members) of bulk in turn: a large list or dict value
+    whose members come already rendered, two levels down.
 
     json uses its C encoder only without an indent; with one it falls back
     to a pure-Python encoder that also holds every fragment until the end.
-    Here only the small head goes through json, and the members are joined
-    a batch at a time, so no chunk holds them all.  brackets is "[]" or
-    "{}", and a dict member is its '"key": value' text.
+    Here only the small, nonempty head goes through json, and the members
+    are joined a batch at a time, so no chunk holds them all.  brackets is
+    "[]" or "{}", and a dict member is its '"key": value' text.
     """
-    text = json.dumps(head, indent=2).removesuffix("\n}")
-    yield f"{text}{_SEP[1]}{json.dumps(key)}: "
-    opening = sep = brackets[0] + _NL[2]
-    members = iter(members)
-    while batch := list(islice(members, _BATCH)):
-        yield sep + _SEP[2].join(batch)
-        sep = _SEP[2]
-    yield (brackets if sep is opening else _NL[1] + brackets[1]) + "\n}"
+    yield json.dumps(head, indent=2).removesuffix("\n}")
+    for key, brackets, members in bulk:
+        yield f"{_SEP[1]}{json.dumps(key)}: "
+        opening = sep = brackets[0] + _NL[2]
+        for batch in _batches(members):
+            yield sep + _SEP[2].join(batch)
+            sep = _SEP[2]
+        yield brackets if sep is opening else _NL[1] + brackets[1]
+    yield "\n}"
 
 
 def state_label(state: State) -> str:
@@ -134,13 +160,16 @@ def state_label(state: State) -> str:
 
 
 def default_step_bound(state: State) -> int:
-    # 4n^2 sits far above the k(k-1) exponent proven for the Bulgarian game;
-    # seats and player counts add positional freedom beyond the card count.
-    # It proves nothing for Montreal, whose state space is infinite.
+    # A Janetzko state is one of C(n + c - 1, c - 1) placements of n cards
+    # on c seats and one of c pointers, and no orbit outlasts its space.
+    # Elsewhere 4n^2 sits far above the k(k-1) exponent proven for the
+    # Bulgarian game; player counts add positional freedom beyond the card
+    # count.  It proves nothing for Montreal, whose state space is infinite.
     n = state_total(state)
     if isinstance(state, PointerState):
-        n += len(state.piles)
-    elif isinstance(state, MultiplayerState):
+        seats = len(state.piles)
+        return comb(n + seats - 1, seats - 1) * seats
+    if isinstance(state, MultiplayerState):
         n += len(state.players)
     return max(4 * n * n, 8)
 
@@ -215,7 +244,9 @@ class Variant:
     name: str
     step: StepFn
     state_kind: str
-    cycles: Callable | None = None  # (n, L, limit): each rotated, ascending
+    # (n, L, limit): each rotated, ascending; without a predecessor rule,
+    # the smallest state of each, ascending, and the states on them all
+    cycles: Callable | None = None
     predecessors: Callable | None = None  # every state one move sends to a state
     is_ge: Callable | None = None  # true exactly when a state has no predecessor
     states: Callable | None = None  # (n, L): every state, made afresh, ascending
@@ -263,11 +294,10 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
         ),
-        # the seeds: (n), then C(n-2+j, j) with j = 1..n-1 more parts; none at n = 0
         "montreal": Variant(
             "montreal", montreal_step, "montreal",
-            cycles=lambda n, L, limit: _montreal_cycles(n, limit),
-            total=lambda n, L: comb(2 * n - 2, n - 1) if n else 0,
+            cycles=lambda n, L, limit: _montreal_leaders(n, limit),
+            total=lambda n, L: _montreal_seed_count(n),
         ),
         "austrian": Variant(
             "austrian", austrian_step, "austrian",
@@ -444,32 +474,73 @@ def _austrian_cycles(n: int, L: int) -> list[tuple[AustrianState, ...]]:
     return [_rotated(orbit(x, austrian_step).cycle) for x in islice(_austrian_states(n, L), 1)]
 
 
-def _montreal_cycles(n: int, limit: float) -> list[tuple[Composition, ...]]:
+def _montreal_seed_count(n: int) -> int:
+    # (n), then C(n-2+j, j) with j = 1..n-1 more parts; none at n = 0
+    return comb(2 * n - 2, n - 1) if n else 0
+
+
+def _montreal_leaders(n: int, limit: float) -> tuple[list[Composition], int]:
     """The Montreal cycles through the seeds, the compositions of n in at
-    most n parts, each rotated, in ascending order.
+    most n parts: the smallest state of each, in ascending order, and the
+    number of states on them all.
 
     Every Montreal state lies on a cycle (Cannings and Haigh, "Montreal
-    solitaire"), so each seed not seen yet is orbited until it comes back;
-    meeting any other state seen before raises WalkError.  Orbits leave
-    the seeds, so visiting more than limit states raises
-    EnumerationBoundError.
+    solitaire"), and only the smallest seed on a cycle keeps it, the
+    cycle-leader rule of in-place permutation (Fich, Munro and Poblete,
+    "Permuting in place"): each seed's orbit is dropped at the first seed
+    smaller than it, and one that comes back has found its cycle, whose
+    smallest state is often not a seed.  Nothing holds every state.
+
+    The kept cycles must hold every seed between them.  If an orbit loops
+    without coming back to its seed (its walk meets Brent's tortoise, a
+    state it passed earlier), or some seed lies on no kept cycle, the
+    seeds are orbited again in enumeration order and the first one off
+    its cycle raises WalkError.  A walk longer than limit states, or kept
+    cycles holding more than limit states between them, raise
+    EnumerationBoundError; all of this before anything is printed.
     """
-    seen, cycles, step = set(), [], montreal_step
+    step, leaders, count, on_cycles = montreal_step, [], 0, 0
+    too_many = f"the orbits visit more than the limit of {limit} states"
     for seed in enumerate_montreal_compositions(n):
-        cyc, x = [], seed
-        while x not in seen:
-            seen.add(x)
-            if len(seen) > limit:
-                raise EnumerationBoundError(
-                    f"the orbits visit more than the limit of {limit} states"
-                )
-            cyc.append(x)
-            x = step(x)
-        if x != seed:
+        x, low, length, seeds = step(seed), seed, 1, 1
+        tortoise, power = seed, 1  # Brent's: the walk meets it only in a loop without the seed
+        while x != seed and x != tortoise:
+            if length > limit:
+                raise EnumerationBoundError(too_many)
+            if len(x) <= n:
+                if x < seed:
+                    break
+                seeds += 1
+            if x < low:
+                low = x
+            if length == power:
+                tortoise, power = x, 2 * power
+            x, length = step(x), length + 1
+        else:
+            if x != seed:  # a loop that misses the seed
+                break
+            count += length
+            if count > limit:
+                raise EnumerationBoundError(too_many)
+            on_cycles += seeds
+            leaders.append(low)
+    else:
+        if on_cycles == _montreal_seed_count(n):
+            leaders.sort()
+            return leaders, count
+    for seed in enumerate_montreal_compositions(n):
+        if tail_cycle(seed, step, limit)[0]:
             raise WalkError(f"the orbit of {state_label(seed)} does not come back to it")
-        if cyc:
-            cycles.append(_rotated(cyc))
-    return sorted(cycles)
+    raise WalkError(f"the Montreal cycles hold {on_cycles} seeds, not {_montreal_seed_count(n)}")
+
+
+def _cycle_from(start: State, step: StepFn) -> tuple[State, ...]:
+    """The cycle through start, from start."""
+    cycle, x = [start], step(start)
+    while x != start:
+        cycle.append(x)
+        x = step(x)
+    return tuple(cycle)
 
 
 class _Stream:
@@ -493,7 +564,9 @@ class GraphSummary:
 
     edges is a stream for every variant, and so is ge_states unless it is
     empty: each pass makes them afresh, in ascending order of the source
-    state, as a sorted tuple would hold them.  smallest_ge holds, per
+    state, as a sorted tuple would hold them.  cycles is a tuple, or for
+    a graph read off its cycles (Montreal) a stream that makes each cycle
+    afresh, rotated, in ascending order.  smallest_ge holds, per
     cycle, the smallest Garden of Eden state whose orbit enters it, or
     None.
     """
@@ -501,7 +574,7 @@ class GraphSummary:
     n: int
     variant: str
     state_count: int
-    cycles: tuple[tuple[State, ...], ...]
+    cycles: tuple[tuple[State, ...], ...] | _Stream
     max_tail: int
     ge_states: tuple[State, ...] | _Stream
     edges: _Stream = field(repr=False)
@@ -523,9 +596,9 @@ class GraphSummary:
             "state_count": self.state_count,
             "component_count": self.component_count,
             "max_tail": self.max_tail,
-            "cycles": [[state_to_jsonable(s) for s in cyc] for cyc in self.cycles],
         }
-        return json_with_bulk(head, "ge_states", "[]", map(_state_json, self.ge_states))
+        return json_with_bulk(head, ("cycles", "[]", map(_cycle_json, self.cycles)),
+                              ("ge_states", "[]", map(_state_json, self.ge_states)))
 
     def dot_chunks(self) -> Iterator[str]:
         """The text of to_dot(), a piece at a time."""
@@ -534,7 +607,7 @@ class GraphSummary:
             (f'\n  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states),
             (f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges),
         )
-        while batch := list(islice(lines, _BATCH)):
+        for batch in _batches(lines):
             yield "".join(batch)
         yield "\n}"
 
@@ -565,16 +638,20 @@ def analyze_state_space(
     these graphs beforehand with total(n, L).
 
     A graph without one (Montreal) is its cycles: no tails, no Garden of
-    Eden state.  Its cycles leave its seeds; everything visited is
-    counted, and visiting more than limit states raises
-    EnumerationBoundError.
+    Eden state.  Its record gives each cycle's smallest state, and the
+    summary's cycles are a stream that walks each again from there, so
+    only the DOT edges, in ascending order of every state, sort them all.
+    Its cycles leave its seeds; their states count against limit, and
+    more than limit states raise EnumerationBoundError.
     """
     game = get_variant(variant, L=L)
     if game.cycles is None:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    cycles = game.cycles(n, L, limit)
+    cycles, step = game.cycles(n, L, limit), game.step
     if game.predecessors is None:
-        count, max_tail, ge_count, smallest_ge = sum(map(len, cycles)), 0, 0, (None,) * len(cycles)
+        leaders, count = cycles
+        max_tail, ge_count, smallest_ge = 0, 0, (None,) * len(leaders)
+        cycles = _Stream(lambda: (_cycle_from(x, step) for x in leaders), len(leaders))
         states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
     else:
         count, max_tail, ge_count, smallest_ge = _walk_back(
@@ -592,16 +669,16 @@ def analyze_state_space(
                 (_rotated(tuple(map(mirror, cyc))), ge and mirror(ge))
                 for cyc, ge in zip(cycles, smallest_ge)
             ))
+        cycles = tuple(cycles)
         for cyc in cycles:
-            if any(game.step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+            if any(step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
                 raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
         states = partial(game.states, n, L)
-    step = game.step
     return GraphSummary(
         n=n,
         variant=variant,
         state_count=count,
-        cycles=tuple(cycles),
+        cycles=cycles,
         max_tail=max_tail,
         ge_states=_Stream(lambda: filter(is_ge, states()), ge_count) if ge_count else (),
         edges=_Stream(lambda: ((x, step(x)) for x in states()), count),

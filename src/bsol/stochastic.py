@@ -202,7 +202,7 @@ class ChainStats:
         counts = (
             f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
         )
-        return json_with_bulk(head, "visit_counts", "{}", counts)
+        return json_with_bulk(head, ("visit_counts", "{}", counts))
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())

@@ -145,6 +145,15 @@ def test_cli_orbit_janetzko(capsys):
     assert first == {"piles": [2, 1, 0], "pointer": 1}
 
 
+def test_cli_orbit_janetzko_past_the_old_guess_of_a_bound(capsys):
+    # a plain cycle of 4,830 moves, past 4(n + seats)^2 = 1,444; the default
+    # bound is the 51,408 states of 13 cards on 6 seats with a pointer
+    code, out, err = run_cli(capsys, "orbit", "--variant", "janetzko", "--state", "2,2,3,2,2,2",
+                             "--pointer", "5")
+    assert (code, err) == (0, "")
+    assert "tail length: 0\ncycle length: 4830\n" in out
+
+
 def test_cli_orbit_bad_state_exits_2(capsys):
     code, _, err = run_cli(capsys, "orbit", "--state", "4,x")
     assert code == 2
@@ -784,6 +793,19 @@ def test_montreal_orbit_of_4000_cards_peak_under_25_mb():
     # walked again; a map of every state took 108.6 MB here
     peak_kb = child_peak_kb(("orbit", "--variant", "montreal", "--state", "4000"))
     assert peak_kb < 25 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ("graph", "--variant", "montreal", "--n", "10"),
+    ("graph", "--variant", "montreal", "--n", "10", "--format", "json"),
+])
+def test_montreal_graph_peak_under_22_mb(argv):
+    # only each cycle's smallest state is kept, and the cycles are walked
+    # again as they are written: about 18 MB, against 33.2 MB with a set of
+    # all 82,727 states and 182.6 MB with the cycles in json's encoder
+    peak_kb = child_peak_kb(argv)
+    assert peak_kb < 22 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")

@@ -12,7 +12,8 @@ away is the oracle for the one that stayed.  The graph stages that became single
 Montreal move's loop, the composition loop) keep their earlier versions
 as oracles too.  Every graph, walked back from its cycles or, for
 Montreal, read off its seeds' cycles, is compared with the forward
-explorer that once served them all.  A chain draws and moves in one loop
+explorer that once served them all, and the Montreal cycle leaders with
+the visited set they replaced.  A chain draws and moves in one loop
 per variant; it is compared with the per-move samplers and masked steps,
 and its means with the per-part loop.  The exhaustive commands' stdout is
 pinned by SHA-256.
@@ -21,12 +22,15 @@ pinned by SHA-256.
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from itertools import combinations, product, repeat, zip_longest
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bsol.cli
 import bsol.dynamics
 import bsol.stochastic
 from bsol.cli import main
@@ -38,11 +42,13 @@ from bsol.dynamics import (
     ReachabilityReport,
     StepBoundError,
     ToomReport,
+    WalkError,
     _austrian_ge,
     _austrian_predecessors,
     _carolina_predecessors,
     _knuth_check,
     _predecessors,
+    _rotated,
     _state_json,
     analyze_state_space,
     default_step_bound,
@@ -67,6 +73,7 @@ from bsol.operators import (
     popov_masked_step,
 )
 from bsol.partitions import (
+    EnumerationBoundError,
     conjugate,
     enumerate_compositions,
     enumerate_compositions_ascending,
@@ -314,6 +321,44 @@ def explore_oracle(seeds, step):
     return succ, dist, comp_of, cycles
 
 
+def montreal_cycles_oracle(n, limit, step=montreal_step):
+    """The Montreal cycles through the seeds as one visited set found them:
+    each seed not seen yet orbited until it comes back, each cycle rotated,
+    in ascending order."""
+    seen, cycles = set(), []
+    for seed in enumerate_montreal_compositions(n):
+        cyc, x = [], seed
+        while x not in seen:
+            seen.add(x)
+            if len(seen) > limit:
+                raise EnumerationBoundError(
+                    f"the orbits visit more than the limit of {limit} states"
+                )
+            cyc.append(x)
+            x = step(x)
+        if x != seed:
+            raise WalkError(f"the orbit of {state_label(seed)} does not come back to it")
+        if cyc:
+            cycles.append(_rotated(cyc))
+    return sorted(cycles)
+
+
+def montreal_summary_oracle(n, limit):
+    """The Montreal summary built from the visited set's cycles, edges kept."""
+    cycles = montreal_cycles_oracle(n, limit)
+    states = sorted(x for cyc in cycles for x in cyc)
+    return GraphSummary(
+        n=n,
+        variant="montreal",
+        state_count=len(states),
+        cycles=tuple(cycles),
+        max_tail=0,
+        ge_states=(),
+        edges=tuple((x, montreal_step(x)) for x in states),
+        smallest_ge=(None,) * len(cycles),
+    )
+
+
 def montreal_step_oracle(alpha):
     """The Montreal move recursing once per zero run, then trimmed."""
     if not alpha:
@@ -462,7 +507,7 @@ def explored_summary_oracle(n, variant, L=None):
 
 def assert_same_graph(walked, explored):
     assert walked.state_count == explored.state_count
-    assert walked.cycles == explored.cycles
+    assert tuple(walked.cycles) == explored.cycles
     assert walked.max_tail == explored.max_tail
     assert tuple(walked.ge_states) == explored.ge_states
     assert len(walked.ge_states) == len(explored.ge_states)
@@ -789,8 +834,8 @@ ORBIT_VARIANTS = ["bulgarian", "dual", "carolina", "montreal", "austrian",
 @pytest.mark.parametrize("variant", ORBIT_VARIANTS)
 def test_brent_orbit_matches_the_state_map(variant):
     # the repeat comes after m = tail + cycle_length moves, and each bound
-    # sits below, at or above m, or is the default, which some Janetzko
-    # orbits pass
+    # sits below, at or above m, or is the default, which no Janetzko orbit
+    # passes: it is the size of the orbit's state space
     rng = random.Random(ORBIT_VARIANTS.index(variant))
     step = get_variant(variant, L=1).step
     for _ in range(300):
@@ -799,6 +844,8 @@ def test_brent_orbit_matches_the_state_map(variant):
         m = first.tail + first.cycle_length
         for bound in (-2, 0, 1, 2, m - 1, m, m + 1, 2 * m, 3 * m, None):
             expected = outcome(orbit_oracle, start, step, bound)
+            if variant == "janetzko" and bound is None:
+                assert isinstance(expected, OrbitResult), start
             assert outcome(orbit, start, step, bound) == expected, (start, bound)
             if isinstance(expected, OrbitResult):
                 expected = (expected.tail, expected.cycle_length)
@@ -969,6 +1016,58 @@ def test_a_move_that_is_not_injective_fails_the_montreal_cycles_with_exit_4(caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: the orbit of 4,1 does not come back to it\n"
+
+
+@pytest.mark.parametrize("moves, first_off", [
+    # 4,1 falls into a loop of two six-part states, with no seed to stop
+    # at: its walk meets a state it passed long before the limit
+    ({(5,): (5,), (4, 1): (1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 0, 1): (1, 0, 1, 1, 1, 1),
+      (1, 0, 1, 1, 1, 1): (1, 1, 1, 1, 0, 1)}, "4,1"),
+    # the cycle of 1,0,0,1,3 is cut open into that of the smaller seed
+    # 1,0,0,0,4: every walk ends, but three seeds lie on no kept cycle
+    ({(1, 0, 1, 1, 2): (1, 0, 0, 0, 4)}, "1,0,1,1,2"),
+])
+def test_a_seed_off_its_cycle_fails_the_montreal_cycles_with_exit_4(capsys, monkeypatch,
+                                                                    moves, first_off):
+    # the first seed off its cycle in enumeration order is named, as the
+    # visited set named it, under the CLI's limit and under none
+    def step(alpha):
+        return moves.get(alpha) or montreal_step(alpha)
+
+    monkeypatch.setattr(bsol.dynamics, "montreal_step", step)
+    started = time.perf_counter()
+    assert main(["graph", "--variant", "montreal", "--n", "5"]) == 4
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    message = f"the orbit of {first_off} does not come back to it"
+    assert out == ""
+    assert err == f"error: {message}\n"
+    for walk in (lambda: analyze_state_space(5, "montreal"),
+                 lambda: montreal_cycles_oracle(5, inf, step)):
+        with pytest.raises(WalkError) as raised:
+            walk()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_montreal_leaders_match_the_visited_set(capsys, monkeypatch, n):
+    # the cycle leaders against the visited set: the same cycles and state
+    # count, the same bytes in every format and, for n <= 8, the same exit
+    # and message at a limit one below the state count and at it
+    walked, oracle = analyze_state_space(n, "montreal"), montreal_summary_oracle(n, inf)
+    assert tuple(walked.cycles) == oracle.cycles
+    assert walked.state_count == oracle.state_count
+    extras = [("--format", fmt) for fmt in ("text", "json", "dot")]
+    if n <= 8:
+        extras += [("--limit", str(oracle.state_count + d)) for d in (-1, 0)]
+    for extra in extras:
+        argv = ["graph", "--variant", "montreal", "--n", str(n), *extra]
+        got = main(argv), capsys.readouterr()
+        with monkeypatch.context() as patched:
+            patched.setattr(bsol.cli, "analyze_state_space",
+                            lambda n, variant, L, limit: montreal_summary_oracle(n, limit))
+            expected = main(argv), capsys.readouterr()
+        assert got == expected, extra
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
