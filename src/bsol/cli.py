@@ -17,6 +17,7 @@ from itertools import islice
 from math import comb
 from typing import Iterator
 
+from . import dynamics  # default_step_bound is read at call time, as tail_cycle reads it
 from .dynamics import (
     _NL,
     _SEP,
@@ -55,9 +56,11 @@ AUSTRIAN_N_BOUND = 80
 NECKLACE_K_BOUND = 14_284
 # toom takes k(k-1) steps on k(k+1)/2 cards, about k^4 work; k = 100 takes seconds
 TOOM_K_BOUND = 100
-# an orbit from one pile of n cards takes about n moves on states of up to n
-# parts; at 4,000 cards the slowest variant, montreal, takes about 3.5 s in
-# O(1) states, and past 4,096 its orbit from one pile doubles to 8,196 moves
+# the cards bound the cost of one move of an orbit, and the state limit the
+# number of moves, each a state visited: an orbit from one pile of n cards
+# takes about n moves on states of up to n parts, and at 4,000 cards the
+# slowest variant, montreal, takes about 3.5 s in O(1) states; a Janetzko
+# start of 4,000 cards over 3 seats cycles after 1,129,719 moves
 ORBIT_CARD_BOUND = 4_000
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
@@ -166,11 +169,19 @@ def _cmd_orbit(args) -> int:
         raise EnumerationBoundError(
             f"an orbit of {total} cards is over the bound of {ORBIT_CARD_BOUND} cards"
         )
+    bound = args.step_bound
+    if bound is None:  # each move visits a state, so the state limit binds too
+        default, limit = dynamics.default_step_bound(start), _state_limit(args)
+        bound = min(default, limit)
     try:
-        tail, length = tail_cycle(start, variant.step, step_bound=args.step_bound)
+        tail, length = tail_cycle(start, variant.step, step_bound=bound)
     except StepBoundError as exc:
         if args.step_bound is not None:
             raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
+        if limit < default:
+            raise EnumerationBoundError(
+                f"{exc}: the orbit visits more than the limit of {limit} states"
+            ) from None
         if args.variant == "montreal":
             raise EnumerationBoundError(
                 f"{exc}, the default bound; montreal orbits have no proven bound"

@@ -12,7 +12,6 @@ partition, and reachability of every cycle from a Garden of Eden state.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, permutations
@@ -235,10 +234,9 @@ class Variant:
     that analyze_state_space serves, the facts of its graph on n cards.
 
     Only the Austrian game reads the lifetime L that each fact takes.  A
-    graph without a predecessor rule (Montreal) is its cycles, and total
-    counts its seeds.  The dual graph is the Bulgarian graph conjugated,
-    walked as that graph: mirror maps the walked cycles and their smallest
-    GE states onto its own, which mirror_lt picks out in the walk.
+    graph with a predecessor rule is walked in its own terms: its cycles
+    are found by orbits, under its own move, of states they pass through.
+    A graph without one (Montreal) is its cycles, and total counts its seeds.
     """
 
     name: str
@@ -252,9 +250,6 @@ class Variant:
     states: Callable | None = None  # (n, L): every state, made afresh, ascending
     total: Callable | None = None  # (n, L): how many states the walk reaches
     what: str = ""  # those states, with {n} and {L}, for the walk's self-check
-    mirror: StepFn | None = None
-    mirror_ge: Callable | None = None  # the GE rule of the mirrored graph
-    mirror_lt: Callable = operator.lt  # mirror(x) < mirror(y): which GE state is smallest
 
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
@@ -276,21 +271,27 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             raise ValueError("the austrian variant requires the machine lifetime L")
         if L < 1:
             raise ValueError(f"machine lifetime must be positive, got {L}")
-    partitions = dict(
-        cycles=lambda n, L, limit: _bulgarian_cycles(n), predecessors=_predecessors,
-        is_ge=garden_of_eden_test, states=lambda n, L: enumerate_partitions_ascending(n),
-        total=lambda n, L: partition_count(n), what="partitions of {n}",
-    )
+    partitions = dict(states=lambda n, L: enumerate_partitions_ascending(n),
+                      what="partitions of {n}")
     registry = {
-        "bulgarian": Variant("bulgarian", bulgarian_step, "partition", **partitions),
+        "bulgarian": Variant(
+            "bulgarian", bulgarian_step, "partition", **partitions,
+            cycles=lambda n, L, limit: _cycles_through(_necklace_states(n), bulgarian_step),
+            predecessors=_predecessors, is_ge=garden_of_eden_test,
+            total=lambda n, L: partition_count(n),
+        ),
+        # the Bulgarian move conjugated; it needs a pile to deal out, so 0 cards is no state
         "dual": Variant(
-            "dual", dual_step, "partition", **partitions, mirror=conjugate, mirror_ge=_dual_ge,
-            # conjugates order as the part counts, then as the parts read upwards
-            mirror_lt=lambda x, y: (len(x), x[::-1]) < (len(y), y[::-1]),
+            "dual", dual_step, "partition", **partitions,
+            cycles=lambda n, L, limit: _cycles_through(
+                map(conjugate, _necklace_states(n)), dual_step),
+            predecessors=_dual_predecessors, is_ge=_dual_ge,
+            total=lambda n, L: partition_count(n) if n else 0,
         ),
         "carolina": Variant(
             "carolina", carolina_step, "strict",
-            cycles=lambda n, L, limit: _carolina_cycles(n), predecessors=_carolina_predecessors,
+            cycles=lambda n, L, limit: _cycles_through(_orderings(n), carolina_step),
+            predecessors=_carolina_predecessors,
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
         ),
@@ -301,7 +302,9 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
         ),
         "austrian": Variant(
             "austrian", austrian_step, "austrian",
-            cycles=lambda n, L, limit: _austrian_cycles(n, L),
+            # the one cycle (Akin and Davis, "Bulgarian solitaire"): any state's orbit ends on it
+            cycles=lambda n, L, limit: _cycles_through(
+                islice(_austrian_states(n, L), 1), austrian_step),
             predecessors=_austrian_predecessors, is_ge=_austrian_ge,
             states=lambda n, L: sorted(_austrian_states(n, L)),
             total=_austrian_state_count, what="austrian states of {n} with L = {L}",
@@ -321,6 +324,32 @@ def _rotated(cycle) -> tuple:
     """The cycle rotated to start at its smallest state."""
     pivot = cycle.index(min(cycle))
     return tuple(cycle[pivot:]) + tuple(cycle[:pivot])
+
+
+def _cycles_through(starts: Iterable[State], step: StepFn) -> tuple[tuple[State, ...], ...]:
+    """The cycles that the orbits of starts end on, each rotated, in ascending order."""
+    return tuple(sorted({_rotated(orbit(x, step).cycle) for x in starts}))
+
+
+def _necklace_states(n: int) -> Iterator[Partition]:
+    """One state on each Bulgarian cycle of n cards: with n = (k-1)k/2 + r,
+    each necklace of r black beads among k gives one, pile i holding k - i
+    cards, plus one if bead i is black (Brandt, "Cycles of partitions")."""
+    k, r = triangular_decompose(n) if n else (1, 0)  # 0 cards: one white bead, no pile
+    for necklace in list_necklaces(k, r):
+        piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
+        yield tuple(p for p in piles if p)
+
+
+def _orderings(n: int) -> set[Composition]:
+    """Every ordering of each necklace state of n cards: sorting commutes
+    with the Carolina move, so a Carolina cycle sorts onto a whole
+    Bulgarian cycle (Griggs and Ho, "The cycling of partitions and
+    compositions under repeated shifts") and passes through an ordering
+    of each of its states."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return {alpha for lam in _necklace_states(n) for alpha in permutations(lam)}
 
 
 def _predecessors(mu: Partition) -> list[Partition]:
@@ -343,6 +372,31 @@ def _predecessors(mu: Partition) -> list[Partition]:
         if c != last:  # equal parts are adjacent and give the same predecessor
             last = c
             preds.append(up[:i] + up[i + 1 :] + (1,) * (c - top))
+    return preds
+
+
+def _dual_predecessors(mu: Partition) -> list[Partition]:
+    """Every partition that one dual move sends to mu: the conjugates of
+    the Bulgarian predecessors of mu's conjugate.
+
+    With s parts in mu, each m >= mu_1 - 1 where mu steps down gives one:
+    (m, mu_1 - 1, ..., mu_m - 1, mu_(m+1), ..., mu_s) deals its m cards
+    back.  The step at s always counts, and there zeros are dropped.  None
+    qualifies exactly when s < mu_1 - 1, a Garden of Eden state.
+    """
+    s = len(mu)
+    if not mu or s < mu[0] - 1:
+        return []
+    down = tuple([p - 1 for p in mu])
+    preds = [(s,) + down[: mu.index(1) if mu[-1] == 1 else s]]
+    m = max(mu[0] - 1, 1)
+    while m < s:
+        part = mu[m - 1]
+        if mu[m] == part:  # inside a run of equal parts: on to its end
+            m = mu.index(part) + mu.count(part)
+        else:
+            preds.append((m,) + down[:m] + mu[m:])
+            m += 1
     return preds
 
 
@@ -388,11 +442,11 @@ def _dual_ge(lam: Partition) -> bool:
     return len(lam) < lam[0] - 1
 
 
-def _walk_back(cycles, predecessors, is_ge, lt) -> tuple[int, int, int, tuple]:
+def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
     """Walk a graph backwards from its cycles, depth first: (the states
     reached, cycles included; the largest distance to a cycle among them;
     the Garden of Eden states among them; per cycle, its smallest Garden
-    of Eden state by lt, or None).
+    of Eden state, or None).
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
@@ -419,7 +473,7 @@ def _walk_back(cycles, predecessors, is_ge, lt) -> tuple[int, int, int, tuple]:
             count += 1
             if is_ge(x):
                 ge_count += 1
-                if first is None or lt(x, first):
+                if first is None or x < first:
                     first = x
                 # a state with predecessors has one farther out, so the
                 # farthest state is a Garden of Eden state
@@ -430,48 +484,6 @@ def _walk_back(cycles, predecessors, is_ge, lt) -> tuple[int, int, int, tuple]:
                 it = iter(predecessors(x))
         smallest_ge.append(first)
     return count, max_tail, ge_count, tuple(smallest_ge)
-
-
-def _bulgarian_cycles(n: int) -> list[tuple[Partition, ...]]:
-    """The cycles of the Bulgarian graph on partitions of n, each rotated
-    to start at its smallest state, in ascending order.
-
-    Write n = (k-1)k/2 + r.  Each necklace of r black beads among k gives
-    a state on a cycle: pile i holds k - i cards, plus one if bead i is
-    black (Brandt, "Cycles of partitions").  Its orbit is the cycle.
-    """
-    if n == 0:
-        return [((),)]
-    k, r = triangular_decompose(n)
-    cycles = set()
-    for necklace in list_necklaces(k, r):
-        piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
-        cycles.add(_rotated(orbit(tuple(p for p in piles if p), bulgarian_step).cycle))
-    return sorted(cycles)
-
-
-def _carolina_cycles(n: int) -> list[tuple[Composition, ...]]:
-    """The cycles of the Carolina graph on compositions of n, each rotated
-    to start at its smallest state, in ascending order.
-
-    Sorting commutes with the move, so a Carolina cycle sorts onto a whole
-    Bulgarian cycle (Griggs and Ho, "The cycling of partitions and
-    compositions under repeated shifts") and passes through some ordering
-    of that cycle's first state.  The orbit of each ordering ends on one.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return sorted({
-        _rotated(orbit(alpha, carolina_step).cycle)
-        for bulgarian in _bulgarian_cycles(n)
-        for alpha in set(permutations(bulgarian[0]))
-    })
-
-
-def _austrian_cycles(n: int, L: int) -> list[tuple[AustrianState, ...]]:
-    """The one cycle of the Austrian game (Akin and Davis, "Bulgarian
-    solitaire"), rotated: the one the first enumerated state's orbit ends on."""
-    return [_rotated(orbit(x, austrian_step).cycle) for x in islice(_austrian_states(n, L), 1)]
 
 
 def _montreal_seed_count(n: int) -> int:
@@ -629,13 +641,12 @@ def analyze_state_space(
     """Exhaustively analyze every state of total n under one variant, as
     its record in get_variant describes the graph.
 
-    A graph with a predecessor rule is walked back from its cycles, and
-    the walk checks itself: it must reach all total(n, L) states, or a
-    cycle was missed.  The component count is the number of cycles the
-    walk started from, never the total it is compared against.  Each
-    cycle must also step round under the variant's own move; the dual
-    move refuses the empty partition of 0 cards here.  A caller can size
-    these graphs beforehand with total(n, L).
+    A graph with a predecessor rule is walked back from its cycles, each
+    found by an orbit under the variant's own move, and the walk checks
+    itself: it must reach all total(n, L) states, or a cycle was missed.
+    The component count is the number of cycles the walk started from,
+    never the total it is compared against.  A caller can size these
+    graphs beforehand with total(n, L).
 
     A graph without one (Montreal) is its cycles: no tails, no Garden of
     Eden state.  Its record gives each cycle's smallest state, and the
@@ -654,26 +665,14 @@ def analyze_state_space(
         cycles = _Stream(lambda: (_cycle_from(x, step) for x in leaders), len(leaders))
         states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
     else:
-        count, max_tail, ge_count, smallest_ge = _walk_back(
-            cycles, game.predecessors, game.is_ge, game.mirror_lt)
+        count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors, game.is_ge)
         total = game.total(n, L)
         if count != total:
             raise WalkError(
                 f"the walk back from the cycles counted {count} states, "
                 f"not the {total} {game.what.format(n=n, L=L)}"
             )
-        is_ge = game.is_ge
-        if game.mirror is not None:  # a GE state is nonempty; each stays with its cycle
-            mirror, is_ge = game.mirror, game.mirror_ge
-            cycles, smallest_ge = zip(*sorted(
-                (_rotated(tuple(map(mirror, cyc))), ge and mirror(ge))
-                for cyc, ge in zip(cycles, smallest_ge)
-            ))
-        cycles = tuple(cycles)
-        for cyc in cycles:
-            if any(step(a) != b for a, b in zip(cyc, cyc[1:] + cyc[:1])):
-                raise WalkError(f"{state_label(cyc[0])} does not start a {game.name} cycle")
-        states = partial(game.states, n, L)
+        states, is_ge = partial(game.states, n, L), game.is_ge
     return GraphSummary(
         n=n,
         variant=variant,

@@ -154,6 +154,25 @@ def test_cli_orbit_janetzko_past_the_old_guess_of_a_bound(capsys):
     assert "tail length: 0\ncycle length: 4830\n" in out
 
 
+def test_cli_orbit_counts_its_moves_against_the_state_limit(capsys, monkeypatch):
+    # each move visits a state: the 4,830 moves of this cycle pass a limit
+    # one below them with exit 3, before anything is printed, and not the
+    # limit itself
+    argv = ("orbit", "--variant", "janetzko", "--state", "2,2,3,2,2,2", "--pointer", "5")
+    monkeypatch.setenv("BSOL_MAX_STATES", "4829")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("error: no repetition within 4829 steps from 2,2,3,2,2,2;ptr=5: "
+                   "the orbit visits more than the limit of 4829 states\n")
+    monkeypatch.setenv("BSOL_MAX_STATES", "4830")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "tail length: 0\ncycle length: 4830\n" in out
+    # an explicit --step-bound is the user's, whatever the limit
+    monkeypatch.setenv("BSOL_MAX_STATES", "10")
+    assert run_cli(capsys, *argv, "--step-bound", "4830")[0] == 0
+
+
 def test_cli_orbit_bad_state_exits_2(capsys):
     code, _, err = run_cli(capsys, "orbit", "--state", "4,x")
     assert code == 2
@@ -342,6 +361,7 @@ def test_cli_graph_n_0(capsys):
         assert err == ""
         assert json.loads(out)["state_count"] == 1
     for argv, message in [(("--variant", "dual"), "dual step needs a nonempty partition"),
+                          (("--variant", "dual", "--limit", "0"), "dual step needs a nonempty partition"),
                           (("--variant", "carolina"), "n must be positive, got 0"),
                           (("--variant", "carolina", "--limit", "0"), "n must be positive, got 0"),
                           (("--variant", "montreal"), "n must be positive, got 0"),

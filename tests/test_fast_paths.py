@@ -12,8 +12,9 @@ away is the oracle for the one that stayed.  The graph stages that became single
 Montreal move's loop, the composition loop) keep their earlier versions
 as oracles too.  Every graph, walked back from its cycles or, for
 Montreal, read off its seeds' cycles, is compared with the forward
-explorer that once served them all, and the Montreal cycle leaders with
-the visited set they replaced.  A chain draws and moves in one loop
+explorer that once served them all, the dual walk with the Bulgarian
+summary conjugated, the mirror it replaced, and the Montreal cycle leaders
+with the visited set they replaced.  A chain draws and moves in one loop
 per variant; it is compared with the per-move samplers and masked steps,
 and its means with the per-part loop.  The exhaustive commands' stdout is
 pinned by SHA-256.
@@ -46,6 +47,8 @@ from bsol.dynamics import (
     _austrian_ge,
     _austrian_predecessors,
     _carolina_predecessors,
+    _dual_ge,
+    _dual_predecessors,
     _knuth_check,
     _predecessors,
     _rotated,
@@ -68,6 +71,7 @@ from bsol.operators import (
     austrian_step,
     bulgarian_step,
     carolina_step,
+    dual_step,
     ejs_masked_step,
     montreal_step,
     popov_masked_step,
@@ -474,6 +478,21 @@ def smallest_ge_oracle(n, variant):
     for x in ge_counter_oracle(succ):
         smallest.setdefault(min(orbit_oracle(x, step).cycle), x)
     return tuple(smallest.get(key) for key in sorted(cycles))
+
+
+def dual_summary_oracle(n):
+    """(state count, cycles, max tail, GE count, smallest_ge) of the dual
+    graph as the Bulgarian summary conjugated: each cycle mapped, rotated
+    and sorted together with the conjugate of its GE state whose conjugate
+    is smallest."""
+    g = analyze_state_space(n)
+    smallest = {}
+    for x in sorted(g.ge_states, key=conjugate):
+        smallest.setdefault(_rotated(orbit(x, bulgarian_step).cycle), conjugate(x))
+    cycles, smallest_ge = zip(*sorted(
+        (_rotated(tuple(map(conjugate, cyc))), smallest.get(cyc)) for cyc in g.cycles
+    ))
+    return g.state_count, cycles, g.max_tail, len(g.ge_states), smallest_ge
 
 
 # every state of n cards, or every Montreal seed, from the public
@@ -920,6 +939,24 @@ def test_predecessor_rule_matches_brute_force_preimages():
             assert sorted(preds) == sorted(preimages.get(mu, [])), mu
 
 
+def test_dual_predecessor_rule_is_the_conjugated_bulgarian_rule():
+    # the dual move is the Bulgarian move conjugated, and so is its rule
+    for n in range(1, 26):
+        for mu in enumerate_partitions(n):
+            preds = _dual_predecessors(mu)
+            assert len(set(preds)) == len(preds), mu
+            assert sorted(preds) == sorted(map(conjugate, _predecessors(conjugate(mu)))), mu
+            assert all(dual_step(lam) == mu for lam in preds), mu
+            assert _dual_ge(mu) == (not preds), mu
+
+
+def test_dual_walk_matches_the_conjugated_bulgarian_summary():
+    for n in range(1, 21):
+        walked, oracle = analyze_state_space(n, "dual"), dual_summary_oracle(n)
+        assert (walked.state_count, walked.cycles, walked.max_tail, len(walked.ge_states),
+                walked.smallest_ge) == oracle, n
+
+
 def test_ascending_enumeration_is_the_sorted_partitions():
     for n in range(46):
         assert same_stream(enumerate_partitions_ascending(n), sorted(enumerate_partitions(n)))
@@ -981,15 +1018,16 @@ def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():
 
 def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
     # the walk counts what it reaches against p(n), never against the
-    # necklace count, so dropping a cycle must be caught; at k = 4 the
-    # dropped cycle is the staircase, the only one
-    cycles = bsol.dynamics._bulgarian_cycles
-    monkeypatch.setattr(bsol.dynamics, "_bulgarian_cycles", lambda n: cycles(n)[1:])
+    # necklace count, so dropping a cycle must be caught: the finder drops
+    # the smallest of every graph's cycles; at k = 4 it is the staircase,
+    # the only one, and at n = 10 the Carolina graph has one cycle too
+    finder = bsol.dynamics._cycles_through
+    monkeypatch.setattr(bsol.dynamics, "_cycles_through",
+                        lambda starts, step: finder(starts, step)[1:])
     for argv, counted in [
         (("graph", "--variant", "bulgarian", "--n", "8"), "7 states, not the 22 partitions of 8"),
         (("graph", "--variant", "dual", "--n", "8"), "7 states, not the 22 partitions of 8"),
         (("knuth", "--k", "4"), "0 states, not the 42 partitions of 10"),
-        # every Carolina cycle sorts onto a Bulgarian one, so it goes too
         (("graph", "--variant", "carolina", "--n", "10"), "0 states, not the 512 compositions of 10"),
     ]:
         assert main(list(argv)) == 4
@@ -999,8 +1037,6 @@ def test_a_missed_cycle_fails_the_walk_with_exit_4(capsys, monkeypatch):
     with pytest.raises(bsol.dynamics.WalkError):
         ge_reachability_check(8)
     # the Austrian walk counts against the states of every bank, not the one cycle
-    austrian = bsol.dynamics._austrian_cycles
-    monkeypatch.setattr(bsol.dynamics, "_austrian_cycles", lambda n, L: austrian(n, L)[1:])
     assert main(["graph", "--variant", "austrian", "--n", "10", "--L", "3"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -1148,12 +1184,12 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
-    # ... whose one cycle, the fixed staircase, is stepped four times: the
-    # finder's repeat, its hare one move ahead, the path walked again and
-    # the check; the DOT edges step each of the 11 partitions of 6 once
+    # ... whose one cycle, the fixed staircase, is stepped three times: the
+    # finder's repeat, its hare one move ahead and the path walked again;
+    # the DOT edges step each of the 11 partitions of 6 once
     calls.clear()
     analyze_state_space(6).to_dot()
-    assert calls["bulgarian_step"] == 4 + 11
+    assert calls["bulgarian_step"] == 3 + 11
 
 
 # SHA-256 of stdout of the exhaustive commands, recorded before the Knuth
