@@ -15,7 +15,6 @@ import os
 import sys
 from itertools import islice
 from math import comb
-from typing import Iterator
 
 from . import dynamics  # default_step_bound is read at call time, as tail_cycle reads it
 from .dynamics import (
@@ -23,6 +22,7 @@ from .dynamics import (
     _SEP,
     StepBoundError,
     WalkError,
+    _json_array,
     analyze_state_space,
     garden_of_eden_test,
     get_variant,
@@ -172,6 +172,8 @@ def _cmd_orbit(args) -> int:
     bound = args.step_bound
     if bound is None:  # each move visits a state, so the state limit binds too
         default, limit = dynamics.default_step_bound(start), _state_limit(args)
+        if limit < 1:  # as a chain's, an orbit's first move visits a state
+            raise EnumerationBoundError(f"an orbit visits at least 1 state, over the limit {limit}")
         bound = min(default, limit)
     try:
         tail, length = tail_cycle(start, variant.step, step_bound=bound)
@@ -231,21 +233,13 @@ def _cmd_ge(args) -> int:
         for lam in enumerate_partitions(args.n)
         if lam and garden_of_eden_test(lam)
     )
-    if args.format == "json":
-        sys.stdout.writelines(_json_list_of_parts(ge))
+    if args.format == "json":  # json.dumps([list(lam) for lam in ge], indent=2)
+        sys.stdout.writelines(
+            _json_array((f"[{_NL[2]}{join_parts(lam, _SEP[2])}{_NL[1]}]" for lam in ge), 0))
+        print()
     else:
         sys.stdout.writelines(format_parts(lam) + "\n" for lam in ge)
     return 0
-
-
-def _json_list_of_parts(states) -> Iterator[str]:
-    """print(json.dumps([list(s) for s in states], indent=2)) for nonempty
-    states, a state at a time: json's indenting encoder holds it all."""
-    sep = "[" + _NL[1]
-    for lam in states:
-        yield sep + "[" + _NL[2] + join_parts(lam, _SEP[2]) + _NL[1] + "]"
-        sep = _SEP[1]
-    yield "\n]\n" if sep == _SEP[1] else "[]\n"
 
 
 def _cmd_necklaces(args) -> int:
@@ -431,7 +425,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that stopped early shows here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader chose to stop: what is left goes nowhere, as in the
+        # Python docs' "Note on SIGPIPE", and the run is a success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations, takewhile
 from math import comb, inf
 from typing import Any, Callable, Iterable, Iterator
 
@@ -108,9 +108,8 @@ def _state_json(state: State, depth: int = 2) -> str:
 
 def _cycle_json(cycle: Iterable[State]) -> str:
     """json.dumps([state_to_jsonable(s) for s in cycle], indent=2) as it
-    reads two levels down a document, for a nonempty cycle."""
-    states = _SEP[3].join([_state_json(s, 3) for s in cycle])
-    return f"[{_NL[3]}{states}{_NL[2]}]"
+    reads two levels down a document."""
+    return "".join(_json_array((_state_json(s, 3) for s in cycle), 2))
 
 
 def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -126,25 +125,33 @@ def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def json_with_bulk(head: dict, *bulk: tuple[str, str, Iterable[str]]) -> Iterator[str]:
-    """json.dumps({**head, key: value, ...}, indent=2), in chunks, for each
-    (key, brackets, members) of bulk in turn: a large list or dict value
-    whose members come already rendered, two levels down.
+def _json_array(members: Iterable[str], depth: int, brackets: str = "[]") -> Iterator[str]:
+    """json.dumps(value, indent=2), in chunks, for a list or dict value as
+    it reads depth levels down a document; its members come already
+    rendered, one level further down.
 
     json uses its C encoder only without an indent; with one it falls back
     to a pure-Python encoder that also holds every fragment until the end.
-    Here only the small, nonempty head goes through json, and the members
-    are joined a batch at a time, so no chunk holds them all.  brackets is
-    "[]" or "{}", and a dict member is its '"key": value' text.
+    Here the members are joined a batch at a time, so no chunk holds them
+    all.  brackets is "[]" or "{}", and a dict member is its '"key": value'
+    text.
+    """
+    opening = sep = brackets[0] + _NL[depth + 1]
+    for batch in _batches(members):
+        yield sep + _SEP[depth + 1].join(batch)
+        sep = _SEP[depth + 1]
+    yield brackets if sep is opening else _NL[depth] + brackets[1]
+
+
+def json_with_bulk(head: dict, *bulk: tuple[str, str, Iterable[str]]) -> Iterator[str]:
+    """json.dumps({**head, key: value, ...}, indent=2), in chunks, for each
+    (key, brackets, members) of bulk in turn: a large value that
+    _json_array writes.  Only the small, nonempty head goes through json.
     """
     yield json.dumps(head, indent=2).removesuffix("\n}")
     for key, brackets, members in bulk:
         yield f"{_SEP[1]}{json.dumps(key)}: "
-        opening = sep = brackets[0] + _NL[2]
-        for batch in _batches(members):
-            yield sep + _SEP[2].join(batch)
-            sep = _SEP[2]
-        yield brackets if sep is opening else _NL[1] + brackets[1]
+        yield from _json_array(members, 1, brackets)
     yield "\n}"
 
 
@@ -546,15 +553,6 @@ def _montreal_leaders(n: int, limit: float) -> tuple[list[Composition], int]:
     raise WalkError(f"the Montreal cycles hold {on_cycles} seeds, not {_montreal_seed_count(n)}")
 
 
-def _cycle_from(start: State, step: StepFn) -> tuple[State, ...]:
-    """The cycle through start, from start."""
-    cycle, x = [start], step(start)
-    while x != start:
-        cycle.append(x)
-        x = step(x)
-    return tuple(cycle)
-
-
 class _Stream:
     """A sized, re-iterable collection whose items are made afresh on each
     pass, so that no pass holds them all."""
@@ -650,8 +648,9 @@ def analyze_state_space(
 
     A graph without one (Montreal) is its cycles: no tails, no Garden of
     Eden state.  Its record gives each cycle's smallest state, and the
-    summary's cycles are a stream that walks each again from there, so
-    only the DOT edges, in ascending order of every state, sort them all.
+    summary's cycles are a stream that walks each again from there until
+    it comes back, so only the DOT edges, in ascending order of every
+    state, sort them all.
     Its cycles leave its seeds; their states count against limit, and
     more than limit states raise EnumerationBoundError.
     """
@@ -662,7 +661,8 @@ def analyze_state_space(
     if game.predecessors is None:
         leaders, count = cycles
         max_tail, ge_count, smallest_ge = 0, 0, (None,) * len(leaders)
-        cycles = _Stream(lambda: (_cycle_from(x, step) for x in leaders), len(leaders))
+        cycles = _Stream(lambda: ((x, *takewhile(x.__ne__, trajectory(step(x), step)))
+                                  for x in leaders), len(leaders))
         states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
     else:
         count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors, game.is_ge)

@@ -12,7 +12,7 @@ Identical configs (including the seed) give bit-identical results.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import add, mul, sub
@@ -230,9 +230,7 @@ def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
         states = islice(path, 1 + config.burn_in, None)
     else:
         deque(islice(states, config.burn_in), maxlen=0)
-    counts: dict[Partition, int] = {}
-    for state in states:
-        counts[state] = counts.get(state, 0) + 1
+    counts = Counter(states)  # in order of first visit, as the sums below read it
 
     samples = config.samples
     if samples == 0:

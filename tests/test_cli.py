@@ -7,9 +7,10 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bsol.cli
 from bsol.operators import AustrianState, PointerState
@@ -21,7 +22,7 @@ from bsol.partitions import (
     format_parts,
 )
 from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, main, parse_state, render_young
-from bsol.dynamics import _knuth_check, get_variant
+from bsol.dynamics import _CHUNK, _knuth_check, get_variant
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,16 @@ def test_cli_orbit_counts_its_moves_against_the_state_limit(capsys, monkeypatch)
     # an explicit --step-bound is the user's, whatever the limit
     monkeypatch.setenv("BSOL_MAX_STATES", "10")
     assert run_cli(capsys, *argv, "--step-bound", "4830")[0] == 0
+
+
+def test_cli_orbit_at_a_state_limit_of_0_exits_3(capsys, monkeypatch):
+    # the first move visits a state, so a fixed point passes a limit of 0
+    # too, as a chain's first move does; an explicit --step-bound still wins
+    monkeypatch.setenv("BSOL_MAX_STATES", "0")
+    for state in ("3,2,1", "4,3,3"):
+        assert run_cli(capsys, "orbit", "--state", state) == (
+            3, "", "error: an orbit visits at least 1 state, over the limit 0\n")
+    assert run_cli(capsys, "orbit", "--state", "3,2,1", "--step-bound", "0")[0] == 0
 
 
 def test_cli_orbit_bad_state_exits_2(capsys):
@@ -391,10 +402,13 @@ def test_cli_ge(capsys):
     assert "2,2,2,2,2" in lines
     for n in ("1", "2"):  # no Garden of Eden state below n = 3
         assert run_cli(capsys, "ge", "--n", n)[:2] == (0, "")
-    for n in range(12):  # the JSON list reads as json.dumps writes it, [] below n = 3
+    # the JSON list reads as json.dumps writes it, [] below n = 3, and at
+    # n = 30 it crosses the writer's chunks
+    for n in [*range(12), 30]:
         ge = [list(lam) for lam in enumerate_partitions(n) if lam and lam[0] < len(lam) - 1]
         code, out, _ = run_cli(capsys, "ge", "--n", str(n), "--format", "json")
         assert (code, out) == (0, json.dumps(ge, indent=2) + "\n")
+    assert len(out) > _CHUNK
 
 
 def test_cli_necklaces(capsys):
@@ -730,16 +744,62 @@ ARGV = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(ARGV)
-def test_cli_exit_code_contract_holds_for_any_argv(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing and counts the characters written."""
+
+    size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+# the commands whose every run visits a state, unless --step-bound is given
+LIMITED = ("orbit", "graph", "ge", "knuth", "simulate")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ARGV, st.sampled_from(["0", "1", "60"]))
+# a fixed point once passed a limit of 0 with exit 0
+@example(["orbit", "--state", "3,2,1"], "0")
+def test_cli_exit_code_contract_holds_for_any_argv(argv, env_limit):
+    out, err = CountingSink(), io.StringIO()
+    with mock.patch.dict(os.environ, {"BSOL_MAX_STATES": env_limit}), \
+            redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if code in (3, 4):
         assert err.getvalue().startswith("error: ")
+    if code == 3:  # every guard refuses before anything is printed
+        assert out.size == 0
+    limit = argv[argv.index("--limit") + 1] if "--limit" in argv else env_limit
+    if limit == "0" and argv and argv[0] in LIMITED and "--step-bound" not in argv:
+        assert code != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "--n", "30", "--format", "dot"),
+    ("ge", "--n", "40"),
+    ("orbit", "--variant", "janetzko", "--state", "2,2,3,2,2,2", "--pointer", "5"),
+    ("simulate", "--variant", "popov", "--n", "60", "--p", "0.5", "--seed", "1",
+     "--format", "json"),
+])
+def test_cli_exits_0_when_the_reader_closes_the_pipe(argv):
+    # the reader takes a few bytes and stops, as `| head -c 10` does; each
+    # output runs past 100 KB, well past the pipe's buffer, so the writer
+    # meets the closed pipe, and the rest goes nowhere
+    src = str(Path(bsol.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.Popen([sys.executable, "-m", "bsol.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.read(10)
+    child.stdout.close()
+    err = child.communicate(timeout=60)[1]
+    assert (len(head), child.returncode, err) == (10, 0, b"")
 
 
 # --- memory of the exhaustive commands ---

@@ -44,9 +44,11 @@ from bsol.dynamics import (
     StepBoundError,
     ToomReport,
     WalkError,
+    _CHUNK,
     _austrian_ge,
     _austrian_predecessors,
     _carolina_predecessors,
+    _cycle_json,
     _dual_ge,
     _dual_predecessors,
     _knuth_check,
@@ -744,6 +746,11 @@ def test_state_writer_matches_json_dumps_for_every_state_kind():
     for s in states:
         two_levels_down = json.dumps(state_to_jsonable(s), indent=2).replace("\n", "\n    ")
         assert _state_json(s) == two_levels_down
+    # a cycle of them is joined a batch at a time: none, and one past a chunk
+    for cycle in ([], states[1:] * 60):
+        expected = json.dumps([state_to_jsonable(s) for s in cycle], indent=2)
+        assert _cycle_json(cycle) == expected.replace("\n", "\n    ")
+    assert len(expected) > _CHUNK
 
 
 @pytest.mark.parametrize("variant, n, samples", [
@@ -1093,6 +1100,7 @@ def test_montreal_leaders_match_the_visited_set(capsys, monkeypatch, n):
     walked, oracle = analyze_state_space(n, "montreal"), montreal_summary_oracle(n, inf)
     assert tuple(walked.cycles) == oracle.cycles
     assert walked.state_count == oracle.state_count
+    assert sum(map(len, walked.cycles)) == walked.state_count  # each replay comes back
     extras = [("--format", fmt) for fmt in ("text", "json", "dot")]
     if n <= 8:
         extras += [("--limit", str(oracle.state_count + d)) for d in (-1, 0)]
