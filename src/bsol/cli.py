@@ -343,6 +343,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_render(args) -> int:
     lam = parse_state(args.state, "partition")
+    # a character per cell, or the cradle's grid, a square at most
+    # len(lam) + lam[0] - 1 wide; both count against the state limit
+    size = sum(lam) if args.style == "rows" or not lam else (len(lam) + lam[0] - 1) ** 2
+    limit = _state_limit(args)
+    if size > limit:
+        raise EnumerationBoundError(f"the diagram has {size} characters, over the limit {limit}")
     print(render_young(lam, args.style))
     return 0
 

@@ -18,7 +18,7 @@ from itertools import chain, combinations, islice, permutations, takewhile
 from math import comb, inf
 from typing import Any, Callable, Iterable, Iterator
 
-from .necklaces import _austrian_state_count, list_necklaces, partition_count
+from .necklaces import _austrian_state_count, list_necklaces, necklace_state, partition_count
 from .operators import (
     AustrianState,
     MultiplayerState,
@@ -340,12 +340,9 @@ def _cycles_through(starts: Iterable[State], step: StepFn) -> tuple[tuple[State,
 
 def _necklace_states(n: int) -> Iterator[Partition]:
     """One state on each Bulgarian cycle of n cards: with n = (k-1)k/2 + r,
-    each necklace of r black beads among k gives one, pile i holding k - i
-    cards, plus one if bead i is black (Brandt, "Cycles of partitions")."""
+    each necklace of r black beads among k gives one."""
     k, r = triangular_decompose(n) if n else (1, 0)  # 0 cards: one white bead, no pile
-    for necklace in list_necklaces(k, r):
-        piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
-        yield tuple(p for p in piles if p)
+    return map(necklace_state, list_necklaces(k, r))
 
 
 def _orderings(n: int) -> set[Composition]:

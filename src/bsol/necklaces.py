@@ -114,64 +114,50 @@ def list_necklaces(k: int, r: int) -> list[Necklace]:
     return [Necklace(b) for b in sorted(classes, reverse=True)]
 
 
+def necklace_state(necklace: Necklace) -> Partition:
+    """The minimal-energy partition of a necklace's beads: with k beads,
+    pile i holds k - i cards, plus one if bead i is black (Brandt,
+    "Cycles of partitions")."""
+    k = necklace.k
+    piles = (k - i + bead for i, bead in enumerate(necklace.beads, 1))
+    return tuple(p for p in piles if p)
+
+
 def necklace_of_state(lam: Partition) -> Necklace:
     """Read the level-k beads off a minimal-energy partition.
 
     Bead i (1-based) is black iff the diagram holds the cell at pile i,
     card k + 1 - i.  Rejects states that are not minimal-energy, i.e.
-    states whose levels 1..k-1 are not full or that reach level k + 1.
+    states that necklace_state does not give back from their beads.
     """
-    n = sum(lam)
-    k, r = triangular_decompose(n)
-
-    def has_cell(i: int, j: int) -> bool:
-        return i <= len(lam) and lam[i - 1] >= j
-
-    for t in range(1, k):
-        for i in range(1, t + 1):
-            if not has_cell(i, t + 1 - i):
-                raise ValueError(f"{lam} is not minimal-energy: hole on level {t}")
-    for i in range(1, k + 2):
-        if has_cell(i, k + 2 - i):
-            raise ValueError(f"{lam} is not minimal-energy: box on level {k + 1}")
-    beads = tuple(has_cell(i, k + 1 - i) for i in range(1, k + 1))
-    if sum(beads) != r:
-        raise AssertionError(f"bead count mismatch for {lam}")
-    return Necklace(beads)
+    k = triangular_decompose(sum(lam))[0]
+    beads = tuple(i <= len(lam) and lam[i - 1] >= k + 1 - i for i in range(1, k + 1))
+    necklace = Necklace(beads)
+    if necklace_state(necklace) != lam:
+        raise ValueError(f"{lam} is not minimal-energy")
+    return necklace
 
 
-_pcount: list[int] = [1]
+def _bounded_part_counts(n: int, cap: int) -> list[int]:
+    # counts[m] counts the partitions of m into parts of at most cap cards
+    counts = [1] + [0] * n
+    for part in range(1, min(cap, n) + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts
 
 
 def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence (exact integers)."""
+    """p(n), the partitions of n into parts of any size (exact integers)."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > PARTITION_COUNT_BOUND:
         raise ValueError(f"n={n} exceeds the counting bound {PARTITION_COUNT_BOUND}")
-    while len(_pcount) <= n:
-        m = len(_pcount)
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > m:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            total += sign * _pcount[m - g1]
-            if g2 <= m:
-                total += sign * _pcount[m - g2]
-            j += 1
-        _pcount.append(total)
-    return _pcount[n]
+    return _bounded_part_counts(n, n)[n]
 
 
 def _austrian_state_count(n: int, L: int) -> int:
-    # table[m] counts the partitions of m into parts of at most L cards;
-    # the bank holds 0..L-1 of the n cards
-    table = [1] + [0] * n
-    for part in range(1, min(L, n) + 1):
-        for m in range(part, n + 1):
-            table[m] += table[m - part]
-    return sum(table[n - bank] for bank in range(min(L - 1, n) + 1))
+    # the piles are a partition into parts of at most L cards, and the bank
+    # holds 0..L-1 of the n cards
+    counts = _bounded_part_counts(n, L)
+    return sum(counts[n - bank] for bank in range(min(L - 1, n) + 1))

@@ -107,10 +107,6 @@ class AustrianState:
     def to_jsonable(self) -> dict:
         return {"piles": list(self.piles), "bank": self.bank, "L": self.L}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "AustrianState":
-        return cls(tuple(data["piles"]), data["bank"], data["L"])
-
 
 def austrian_step(state: AustrianState) -> AustrianState:
     """Age every machine one year, then buy new machines while the bank allows."""
@@ -158,6 +154,18 @@ def multiplayer_step(state: MultiplayerState) -> MultiplayerState:
     return MultiplayerState(tuple(out))
 
 
+def _deal(piles: list[int], first: int, m: int) -> None:
+    """Deal m cards one at a time around the table, the first to seat first
+    (0-based): every full round gives each seat one card."""
+    c = len(piles)
+    rounds, extra = divmod(m, c)
+    if rounds:
+        for j in range(c):
+            piles[j] += rounds
+    for j in range(first, first + extra):
+        piles[j % c] += 1
+
+
 def servedio_yeh_step(alpha: Composition) -> Composition:
     """All players deal their cards clockwise at once, starting with themselves."""
     c = len(alpha)
@@ -167,12 +175,7 @@ def servedio_yeh_step(alpha: Composition) -> Composition:
         raise ValueError(f"negative pile in {alpha}")
     out = [0] * c
     for i, a in enumerate(alpha):
-        rounds, extra = divmod(a, c)
-        if rounds:
-            for j in range(c):
-                out[j] += rounds
-        for j in range(extra):
-            out[(i + j) % c] += 1
+        _deal(out, i, a)
     return tuple(out)
 
 
@@ -200,10 +203,6 @@ class PointerState:
     def to_jsonable(self) -> dict:
         return {"piles": list(self.piles), "pointer": self.pointer}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "PointerState":
-        return cls(tuple(data["piles"]), data["pointer"])
-
 
 def janetzko_step(state: PointerState) -> PointerState:
     """The pointed player deals their pile one card at a time to the right;
@@ -215,12 +214,7 @@ def janetzko_step(state: PointerState) -> PointerState:
         return PointerState(state.piles, (i + 1) % c + 1)
     piles = list(state.piles)
     piles[i] = 0
-    rounds, extra = divmod(m, c)
-    if rounds:
-        for j in range(c):
-            piles[j] += rounds
-    for j in range(1, extra + 1):
-        piles[(i + j) % c] += 1
+    _deal(piles, i + 1, m)
     return PointerState(tuple(piles), (i + m) % c + 1)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator
@@ -185,7 +185,6 @@ class ChainStats:
     mean_staircase_distance: float
     mean_energy: float
     rng_algorithm: str = RNG_ALGORITHM
-    path: tuple[Partition, ...] | None = field(default=None, repr=False, compare=False)
 
     def json_chunks(self) -> Iterator[str]:
         """The text of to_json(), a piece at a time."""
@@ -214,28 +213,21 @@ class ChainStats:
         return "\n".join(lines) + "\n"
 
 
-def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
+def run_chain(config: ChainConfig) -> ChainStats:
     """Run burn_in + samples moves, tallying the recorded phase.
 
     The first burn_in post-move states are discarded; each of the next
-    samples states is counted once.  With record_path=True the full
-    trajectory (initial state included) is kept on the result.
+    samples states is counted once.
     """
     moves = _popov_moves if config.variant == "popov" else _ejs_moves
     rng = make_rng(config.seed)
     states = moves(rng, config.initial, config.p, config.burn_in + config.samples)
-    path = None
-    if record_path:
-        path = [config.initial, *states]
-        states = islice(path, 1 + config.burn_in, None)
-    else:
-        deque(islice(states, config.burn_in), maxlen=0)
+    deque(islice(states, config.burn_in), maxlen=0)
     counts = Counter(states)  # in order of first visit, as the sums below read it
 
     samples = config.samples
     if samples == 0:
-        return ChainStats(config, {}, (), 0.0, 0.0,
-                          path=tuple(path) if record_path else None)
+        return ChainStats(config, {}, (), 0.0, 0.0)
     # float sums, index by index in the order of counts, so a mean keeps
     # its bytes even where a sum passes 2**53
     shape_sum = [0.0] * max(map(len, counts))
@@ -251,7 +243,6 @@ def run_chain(config: ChainConfig, record_path: bool = False) -> ChainStats:
         mean_shape=tuple(v / samples for v in shape_sum),
         mean_staircase_distance=dist_sum / samples,
         mean_energy=energy_sum / samples,
-        path=tuple(path) if record_path else None,
     )
 
 

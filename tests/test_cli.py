@@ -71,10 +71,10 @@ def test_parse_format_round_trip():
 
 
 def test_state_json_round_trip():
-    s = AustrianState((3, 1), 2, 3)
-    assert AustrianState.from_jsonable(json.loads(json.dumps(s.to_jsonable()))) == s
-    t = PointerState((2, 0, 1), 3)
-    assert PointerState.from_jsonable(json.loads(json.dumps(t.to_jsonable()))) == t
+    data = json.loads(json.dumps(AustrianState((3, 1), 2, 3).to_jsonable()))
+    assert data == {"piles": [3, 1], "bank": 2, "L": 3}
+    data = json.loads(json.dumps(PointerState((2, 0, 1), 3).to_jsonable()))
+    assert data == {"piles": [2, 0, 1], "pointer": 3}
 
 
 # --- render ---
@@ -629,6 +629,33 @@ def test_cli_render(capsys):
     assert out.count("#") == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ("--state", "100000000000"),
+    ("--state", "30000,30000", "--style", "cradle"),
+])
+def test_cli_render_refuses_a_huge_diagram_before_drawing(capsys, argv):
+    # each once printed a MemoryError traceback under a 1 GB address-space cap
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "render", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "over the limit 2000000" in err
+
+
+@pytest.mark.parametrize("style, size", [("rows", 12), ("cradle", 64)])
+def test_cli_render_counts_its_characters_against_the_state_limit(capsys, monkeypatch,
+                                                                 style, size):
+    # (5, 3, 3, 1) has 12 cells, and its cradle a grid of at most (4 + 5 - 1)^2
+    argv = ("render", "--state", "5,3,3,1", "--style", style)
+    monkeypatch.setenv("BSOL_MAX_STATES", str(size - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: the diagram has {size} characters, over the limit {size - 1}\n"
+    monkeypatch.setenv("BSOL_MAX_STATES", str(size))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.count("#") == 12
+
+
 # --- the size guard's own work ---
 
 @pytest.mark.parametrize("argv", [
@@ -739,7 +766,7 @@ ARGV = st.one_of(
                        "p": FRACTIONS,
                        "seed": SMALL},
           burn_in=SMALL, samples=SMALL, initial=STATES, format=_choice("text", "json", "csv")),
-    _argv("render", {"state": STATES}, style=_choice("rows", "cradle")),
+    _argv("render", {"state": st.one_of(STATES, HUGE)}, style=_choice("rows", "cradle")),
     st.lists(st.sampled_from(["bogus", "graph", "--help", "--n", "3"]), max_size=3),
 )
 
@@ -765,6 +792,8 @@ LIMITED = ("orbit", "graph", "ge", "knuth", "simulate")
 @given(ARGV, st.sampled_from(["0", "1", "60"]))
 # a fixed point once passed a limit of 0 with exit 0
 @example(["orbit", "--state", "3,2,1"], "0")
+# usage text at a limit of 0 is a success: it visits no state
+@example(["graph", "--help"], "0")
 def test_cli_exit_code_contract_holds_for_any_argv(argv, env_limit):
     out, err = CountingSink(), io.StringIO()
     with mock.patch.dict(os.environ, {"BSOL_MAX_STATES": env_limit}), \
@@ -777,7 +806,8 @@ def test_cli_exit_code_contract_holds_for_any_argv(argv, env_limit):
     if code == 3:  # every guard refuses before anything is printed
         assert out.size == 0
     limit = argv[argv.index("--limit") + 1] if "--limit" in argv else env_limit
-    if limit == "0" and argv and argv[0] in LIMITED and "--step-bound" not in argv:
+    if (limit == "0" and argv and argv[0] in LIMITED and "--step-bound" not in argv
+            and "--help" not in argv):
         assert code != 0
 
 

@@ -7,17 +7,18 @@ integer total divided by the same n; a ValueError must be raised by both
 or by neither, with the same message.  The JSON and DOT writers are
 compared with json.dumps and the old DOT loop.  Where a primitive had two
 copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
-Montreal recursion, the orbit's cycle finder), the copy that was folded
-away is the oracle for the one that stayed.  The graph stages that became single passes (the
-Montreal move's loop, the composition loop) keep their earlier versions
-as oracles too.  Every graph, walked back from its cycles or, for
-Montreal, read off its seeds' cycles, is compared with the forward
-explorer that once served them all, the dual walk with the Bulgarian
-summary conjugated, the mirror it replaced, and the Montreal cycle leaders
-with the visited set they replaced.  A chain draws and moves in one loop
-per variant; it is compared with the per-move samplers and masked steps,
-and its means with the per-part loop.  The exhaustive commands' stdout is
-pinned by SHA-256.
+Montreal recursion, the orbit's cycle finder, the pentagonal partition
+count, the cell-by-cell necklace reader, the two circular deals), the copy
+that was folded away is the oracle for the one that stayed.  The graph
+stages that became single passes (the Montreal move's loop, the
+composition loop) keep their earlier versions as oracles too.  Every
+graph, walked back from its cycles or, for Montreal, read off its seeds'
+cycles, is compared with the forward explorer that once served them all,
+the dual walk with the Bulgarian summary conjugated, the mirror it
+replaced, and the Montreal cycle leaders with the visited set they
+replaced.  A chain draws and moves in one loop per variant; it is compared
+with the per-move samplers and masked steps, and its means with the
+per-part loop.  The exhaustive commands' stdout is pinned by SHA-256.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ import random
 import time
 from collections import Counter
 from itertools import combinations, product, repeat, zip_longest
-from math import inf
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,7 @@ from bsol.dynamics import (
     _CHUNK,
     _austrian_ge,
     _austrian_predecessors,
+    _austrian_states,
     _carolina_predecessors,
     _cycle_json,
     _dual_ge,
@@ -66,6 +68,13 @@ from bsol.dynamics import (
     tail_cycle,
     toom_path,
 )
+from bsol.necklaces import (
+    Necklace,
+    _austrian_state_count,
+    necklace_of_state,
+    necklace_state,
+    partition_count,
+)
 from bsol.operators import (
     AustrianState,
     MultiplayerState,
@@ -75,8 +84,10 @@ from bsol.operators import (
     carolina_step,
     dual_step,
     ejs_masked_step,
+    janetzko_step,
     montreal_step,
     popov_masked_step,
+    servedio_yeh_step,
 )
 from bsol.partitions import (
     EnumerationBoundError,
@@ -94,6 +105,8 @@ from bsol.partitions import (
 )
 from bsol.stochastic import (
     ChainConfig,
+    _ejs_moves,
+    _popov_moves,
     make_rng,
     run_chain,
     sample_ejs_picks,
@@ -578,6 +591,72 @@ def chain_means_oracle(counts, samples):
     return tuple(v / samples for v in shape_sum), dist_sum / samples, energy_sum / samples
 
 
+def pentagonal_partition_counts(n):
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
+    counts = [1]
+    while len(counts) <= n:
+        m = len(counts)
+        total = 0
+        j = 1
+        while True:
+            g1 = j * (3 * j - 1) // 2
+            g2 = j * (3 * j + 1) // 2
+            if g1 > m:
+                break
+            sign = -1 if j % 2 == 0 else 1
+            total += sign * counts[m - g1]
+            if g2 <= m:
+                total += sign * counts[m - g2]
+            j += 1
+        counts.append(total)
+    return counts
+
+
+def necklace_of_state_oracle(lam):
+    """The level-k beads read cell by cell, after checking levels 1..k-1
+    full and level k + 1 empty."""
+    n = sum(lam)
+    k, r = triangular_decompose(n)
+
+    def has_cell(i, j):
+        return i <= len(lam) and lam[i - 1] >= j
+
+    for t in range(1, k):
+        for i in range(1, t + 1):
+            if not has_cell(i, t + 1 - i):
+                raise ValueError(f"{lam} is not minimal-energy: hole on level {t}")
+    for i in range(1, k + 2):
+        if has_cell(i, k + 2 - i):
+            raise ValueError(f"{lam} is not minimal-energy: box on level {k + 1}")
+    beads = tuple(has_cell(i, k + 1 - i) for i in range(1, k + 1))
+    if sum(beads) != r:
+        raise AssertionError(f"bead count mismatch for {lam}")
+    return Necklace(beads)
+
+
+def servedio_yeh_step_oracle(alpha):
+    """Every seat deals its cards one at a time, the first to itself."""
+    out = [0] * len(alpha)
+    for i, a in enumerate(alpha):
+        for j in range(i, i + a):
+            out[j % len(alpha)] += 1
+    return tuple(out)
+
+
+def janetzko_step_oracle(state):
+    """The pointed seat deals its cards one at a time to the seats on its
+    right; the pointer moves to the seat of the last card, or on by one."""
+    piles, c = list(state.piles), len(state.piles)
+    seat = state.pointer - 1
+    cards, piles[seat] = piles[seat], 0
+    if not cards:
+        seat = (seat + 1) % c
+    for _ in range(cards):
+        seat = (seat + 1) % c
+        piles[seat] += 1
+    return PointerState(tuple(piles), seat + 1)
+
+
 def outcome(fn, *args):
     """The result, or the ValueError's or StepBoundError's message, so both
     can be compared."""
@@ -789,6 +868,49 @@ def test_montreal_enumeration_matches_two_function_recursion():
     # up to n = 12: 705,432 compositions of at most 12 parts
     for n in range(1, 13):
         assert same_stream(enumerate_montreal_compositions(n), montreal_oracle(n))
+
+
+def test_partition_count_matches_the_pentagonal_recurrence():
+    assert [partition_count(n) for n in range(201)] == pentagonal_partition_counts(200)
+
+
+def test_austrian_state_count_matches_the_enumeration():
+    for L in range(1, 9):
+        for n in range(41):
+            assert _austrian_state_count(n, L) == len(list(_austrian_states(n, L)))
+
+
+def beads_or_error(read, lam):
+    """The beads read off lam, or ValueError: the two readers word their
+    refusals differently, so only the refusal is compared."""
+    try:
+        return read(lam).beads
+    except ValueError:
+        return ValueError
+
+
+def test_necklace_of_state_matches_the_cell_by_cell_reader():
+    for n in range(1, 31):
+        k, r = triangular_decompose(n)
+        read = 0
+        for lam in enumerate_partitions(n):
+            beads = beads_or_error(necklace_of_state, lam)
+            assert beads == beads_or_error(necklace_of_state_oracle, lam), lam
+            if beads is not ValueError:
+                assert necklace_state(necklace_of_state(lam)) == lam
+                read += 1
+        assert read == comb(k, r)  # one minimal-energy state per placement of the beads
+
+
+def test_circular_steps_match_dealing_one_card_at_a_time():
+    for c in range(1, 6):
+        for table in product(range(9), repeat=c):
+            if sum(table) > 8:
+                continue
+            assert servedio_yeh_step(table) == servedio_yeh_step_oracle(table)
+            for pointer in range(1, c + 1):
+                state = PointerState(table, pointer)
+                assert janetzko_step(state) == janetzko_step_oracle(state)
 
 
 # --- one pass per graph stage ---
@@ -1115,23 +1237,23 @@ def test_montreal_leaders_match_the_visited_set(capsys, monkeypatch, n):
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
-@pytest.mark.parametrize("burn_in, samples, n, p, record_path", [
-    *[pytest.param(b, s, 12, 0.6, True, id=f"{b}-{s}")
+@pytest.mark.parametrize("burn_in, samples, n, p", [
+    *[pytest.param(b, s, 12, 0.6, id=f"{b}-{s}")
       for b, s in [(0, 60), (25, 0), (0, 0), (15, 40)]],
-    *[pytest.param(5, 30, 210, p, record, id=f"210-{p}-{'path' if record else 'counts'}")
-      for p in (0.05, 0.5, 0.9, 1.0) for record in (True, False)],
+    *[pytest.param(5, 30, 210, p, id=f"210-{p}-counts") for p in (0.05, 0.5, 0.9, 1.0)],
     # about 26 piles a move: these 4,000 pile-selection moves draw 105,405
     # uniforms, so the chain crosses six blocks of 16,384
-    pytest.param(1000, 3000, 210, 0.5, False, id="210-blocks"),
+    pytest.param(1000, 3000, 210, 0.5, id="210-blocks"),
 ])
-def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples, n, p,
-                                                    record_path):
+def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples, n, p):
     config = ChainConfig(n, variant, p, seed=burn_in + samples, burn_in=burn_in,
                          samples=samples)
     counts, path = chain_tally_oracle(config)
-    stats = run_chain(config, record_path=record_path)
+    moves = _popov_moves if variant == "popov" else _ejs_moves
+    states = moves(make_rng(config.seed), config.initial, p, burn_in + samples)
+    assert (config.initial, *states) == path
+    stats = run_chain(config)
     assert list(stats.visit_counts.items()) == list(counts.items())  # insertion order too
-    assert stats.path == (path if record_path else None)
     means = (stats.mean_shape, stats.mean_staircase_distance, stats.mean_energy)
     assert means == chain_means_oracle(counts, samples)
 

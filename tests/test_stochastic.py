@@ -81,11 +81,12 @@ def test_popov_p1_follows_the_deterministic_game():
     cfg = ChainConfig(
         n=10, variant="popov", p=1.0, seed=99, burn_in=0, samples=9, initial=(4, 3, 3)
     )
-    stats = run_chain(cfg, record_path=True)
-    assert list(stats.path) == OPENING_GAME
-    assert stats.path[-1] == (4, 3, 2, 1)
+    stats = run_chain(cfg)
+    # the nine states after the start, each visited once, in order of first visit
+    assert list(stats.visit_counts.items()) == [(lam, 1) for lam in OPENING_GAME[1:]]
+    assert list(stats.visit_counts)[-1] == (4, 3, 2, 1)
     deterministic = orbit((4, 3, 3), bulgarian_step).path[:10]
-    assert stats.path == deterministic
+    assert tuple(stats.visit_counts) == deterministic[1:]
 
 
 def test_seeded_runs_are_identical():
