@@ -252,9 +252,11 @@ def _cmd_necklaces(args) -> int:
     count = necklace_count(args.n)
     necklaces = None
     if args.list:
-        if comb(k, r) > _state_limit(args):
+        # each of the C(k, r) bead placements is read in its k rotations
+        if comb(k, r) * k > _state_limit(args):
             raise EnumerationBoundError(
-                f"listing necklaces needs {comb(k, r)} bead placements, over the limit"
+                f"listing necklaces reads {comb(k, r)} bead placements in {k} rotations "
+                f"each, over the limit"
             )
         necklaces = list_necklaces(k, r)
     if args.format == "json":

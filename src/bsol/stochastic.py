@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator
 
@@ -228,15 +228,7 @@ def run_chain(config: ChainConfig) -> ChainStats:
     samples = config.samples
     if samples == 0:
         return ChainStats(config, {}, (), 0.0, 0.0)
-    # float sums, index by index in the order of counts, so a mean keeps
-    # its bytes even where a sum passes 2**53
-    shape_sum = [0.0] * max(map(len, counts))
-    dist_sum = 0.0
-    energy_sum = 0.0
-    for lam, count in counts.items():
-        shape_sum[:len(lam)] = map(add, shape_sum, map(mul, lam, repeat(count)))
-        dist_sum += staircase_distance(lam) * count
-        energy_sum += potential_energy(lam) * count
+    shape_sum, dist_sum, energy_sum = _chain_sums(counts, config.n, samples)
     return ChainStats(
         config=config,
         visit_counts=counts,
@@ -244,6 +236,71 @@ def run_chain(config: ChainConfig) -> ChainStats:
         mean_staircase_distance=dist_sum / samples,
         mean_energy=energy_sum / samples,
     )
+
+
+# parts per numpy block of the chain statistics: a block takes whole states
+# until it holds this many parts, so its arrays stay small however long the
+# states or the chain
+_STAT_BLOCK = 1 << 12
+
+
+def _chain_sums(counts: dict[Partition, int], n: int,
+                samples: int) -> tuple[list[float], float, float]:
+    """The count-weighted float sums of the parts index by index, of the
+    staircase distance and of the energy over the distinct states of a
+    chain of samples visits, each added in the order of counts.
+
+    n(n+3)/2 is the largest energy of a partition of n, so below
+    samples * n(n+3)/2 < 2**53 every shape and energy term and partial sum
+    is an integer that a float holds exactly, and numpy adds them in any
+    order a block of states at a time.  The distance terms are inexact
+    floats: a cumulative sum, which adds in sequence, carries them from
+    block to block in visit order.  Past the bound the order of the float
+    additions shows in their last bits, so each state is read in turn.
+    """
+    if samples * n * (n + 3) // 2 >= 2**53:
+        shape_sum = [0.0] * max(map(len, counts))
+        dist_sum = energy_sum = 0.0
+        for lam, count in counts.items():
+            shape_sum[:len(lam)] = map(add, shape_sum, map(mul, lam, repeat(count)))
+            dist_sum += staircase_distance(lam) * count
+            energy_sum += potential_energy(lam) * count
+        return shape_sum, dist_sum, energy_sum
+    import numpy as np
+
+    k = triangular_decompose(n)[0]
+    shape_sum, dist_sum, energy_sum = np.zeros(0), 0.0, 0
+    items = iter(counts.items())
+    while True:
+        lams, visits, size = [], [], 0
+        for lam, count in items:
+            lams.append(lam)
+            visits.append(count)
+            size += len(lam)
+            if size >= _STAT_BLOCK:
+                break
+        if not lams:
+            return shape_sum.tolist(), dist_sum, float(energy_sum)
+        lens = np.fromiter(map(len, lams), np.int64, len(lams))
+        parts = np.fromiter(chain.from_iterable(lams), np.int64, size)
+        reps = np.array(visits, np.int64)
+        starts = np.cumsum(lens) - lens
+        col = np.arange(size) - np.repeat(starts, lens)  # 0-based pile index
+        # bincount adds in float64, exact for these integers
+        block = np.bincount(col, parts * np.repeat(reps, lens), minlength=len(shape_sum))
+        block[:len(shape_sum)] += shape_sum
+        shape_sum = block
+        # energy: pile i + 1 holding p cards adds (i + 1)p + p(p+1)/2
+        energy = np.add.reduceat((col + 1) * parts + parts * (parts + 1) // 2, starts)
+        energy_sum += int((energy * reps).sum())
+        # distance: |p - (k - i)| against the staircase, zero past its k
+        # parts, and its parts past the state as a triangular number
+        off = np.abs(parts - np.maximum(k - col, 0))
+        rest = np.maximum(k - lens, 0)
+        total = np.add.reduceat(off, starts) + rest * (rest + 1) // 2
+        terms = total / n * reps
+        terms[0] += dist_sum
+        dist_sum = float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)

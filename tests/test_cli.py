@@ -20,6 +20,7 @@ from bsol.partitions import (
     enumerate_montreal_compositions,
     enumerate_partitions,
     format_parts,
+    triangular_decompose,
 )
 from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, main, parse_state, render_young
 from bsol.dynamics import _CHUNK, _knuth_check, get_variant
@@ -441,6 +442,34 @@ def test_cli_necklaces_prints_the_largest_count_under_the_guard(capsys):
     head = "n=102016328: k=14284, r=7142, components="
     assert code == 0 and out.startswith(head)
     assert 4250 < len(out.strip()) - len(head) <= 4300
+
+
+def test_cli_necklaces_list_reads_each_rotation_under_the_guard(capsys):
+    # k = 19, r = 9: C(19, 9) = 92,378 placements in 19 rotations each,
+    # 1,755,182 reads under the default limit
+    code, out, _ = run_cli(capsys, "necklaces", "--n", "180", "--list")
+    head, *rows = out.splitlines()
+    assert code == 0 and head == "n=180: k=19, r=9, components=4862"
+    assert len(rows) == 4862 and rows[0].startswith("BBBBBBBBBW")
+
+
+@pytest.mark.parametrize("n", [198, 264])
+def test_cli_necklaces_list_guard_counts_the_rotations(capsys, monkeypatch, n):
+    # n = 198: k = 20, r = 8, C(20, 8) = 125,970 placements, under the limit
+    # alone, but 2,519,400 reads with their 20 rotations; n = 264 (k = 23,
+    # r = 11) once listed for over 20 seconds under the default limit
+    k, r = triangular_decompose(n)
+    assert comb(k, r) <= DEFAULT_STATE_LIMIT < comb(k, r) * k
+
+    def listed(*args):
+        raise AssertionError("the guard let the listing start")
+
+    monkeypatch.setattr(bsol.cli, "list_necklaces", listed)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "necklaces", "--n", str(n), "--list")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- knuth / toom commands ---

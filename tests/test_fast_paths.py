@@ -17,8 +17,9 @@ cycles, is compared with the forward explorer that once served them all,
 the dual walk with the Bulgarian summary conjugated, the mirror it
 replaced, and the Montreal cycle leaders with the visited set they
 replaced.  A chain draws and moves in one loop per variant; it is compared
-with the per-move samplers and masked steps, and its means with the
-per-part loop.  The exhaustive commands' stdout is pinned by SHA-256.
+with the per-move samplers and masked steps, and its means, from one block
+pass below 2**53 and state by state past it, with the per-part loop.  The
+exhaustive commands' stdout is pinned by SHA-256.
 """
 
 import hashlib
@@ -104,7 +105,9 @@ from bsol.partitions import (
     triangular_decompose,
 )
 from bsol.stochastic import (
+    _STAT_BLOCK,
     ChainConfig,
+    _chain_sums,
     _ejs_moves,
     _popov_moves,
     make_rng,
@@ -1258,6 +1261,65 @@ def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples, n
     assert means == chain_means_oracle(counts, samples)
 
 
+def chain_sum_means(counts, n):
+    samples = sum(counts.values())
+    shape_sum, dist_sum, energy_sum = _chain_sums(counts, n, samples)
+    return tuple(v / samples for v in shape_sum), dist_sum / samples, energy_sum / samples
+
+
+def random_partition(rng, n):
+    """A partition of n read off random cuts of a row of n cards."""
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+    return tuple(sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True))
+
+
+# 210 is triangular (k = 20), 200 is not (k = 20, r = 10)
+@pytest.mark.parametrize("n", [210, 200])
+def test_chain_sums_match_the_per_state_loop_over_many_blocks(n):
+    rng = random.Random(n)
+    k = triangular_decompose(n)[0]
+    counts = Counter({(n,): 3, (1,) * n: 5})
+    if n == 210:
+        counts[staircase(k)] = 2
+    while len(counts) < 2000:
+        counts[random_partition(rng, n)] += rng.randrange(1, 1000)
+    lens = list(map(len, counts))
+    assert sum(length < k for length in lens) > 100 and sum(length > k for length in lens) > 100
+    assert sum(lens) > 10 * _STAT_BLOCK
+    assert chain_sum_means(counts, n) == chain_means_oracle(counts, sum(counts.values()))
+
+
+def test_chain_sums_give_the_loop_bytes_on_both_sides_of_2_53(monkeypatch):
+    # below samples * n(n+3)/2 < 2**53 the sums take one block pass, and at
+    # or past it the per-state loop.  The product meets 2**53 only where
+    # n(n+3)/2 is a power of two, at n = 1; it never meets 2**53 - 1 =
+    # 6361 * 69431 * 20394401, since no divisor of that is an n(n+3)/2, so
+    # n = 6 (27) comes as close from below as a sample count allows
+    calls = Counter()
+
+    def counted(lam):
+        calls[lam] += 1
+        return staircase_distance(lam)
+
+    monkeypatch.setattr(bsol.stochastic, "staircase_distance", counted)
+    last_below = (2**53 - 1) // 27
+    for n, samples, loop in [(1, 2**52 - 1, False), (1, 2**52, True),
+                             (6, last_below, False), (6, last_below + 1, True),
+                             # one pile holds 2**53 // 27 visits, one below
+                             # the bound, and the ten other partitions one each
+                             (6, 2**53 // 27 + 10, True)]:
+        assert (samples * n * (n + 3) // 2 >= 2**53) == loop
+        others = [lam for lam in enumerate_partitions(n) if lam != (n,)]
+        counts = {(n,): samples - len(others), **dict.fromkeys(others, 1)}
+        calls.clear()
+        assert chain_sum_means(counts, n) == chain_means_oracle(counts, samples)
+        assert sum(calls.values()) == (len(counts) if loop else 0)
+    # the last chain's energy passes 2**53 part way, so the loop's float
+    # order shows: the exact sum gives another mean
+    exact = sum(potential_energy(lam) * count for lam, count in counts.items())
+    assert exact / samples != chain_means_oracle(counts, samples)[2]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(partitions(), min_size=1, max_size=6),
        st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0]), st.integers(0, 2**32))
@@ -1294,14 +1356,19 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
     # from a hare one move ahead (1 + 2 * 20), and the path of 22 states is
     # walked again (21)
     assert calls["bulgarian_step"] == 32 + 1 + 2 * 20 + 21
-    # a chain draws and moves in one loop per variant; its statistics are
-    # read once per distinct state
-    for config in (ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7),
-                   ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4)):
+    # a chain draws and moves in one loop per variant; while its sums stay
+    # below 2**53 its statistics take one block pass, which calls neither
+    # per-state function, and past that they are read once per distinct state
+    for config, per_state in [
+        (ChainConfig(8, "popov", 0.5, seed=1, burn_in=3, samples=7), False),
+        (ChainConfig(8, "ejs", 0.5, seed=1, burn_in=2, samples=4), False),
+        (ChainConfig(10**12, "popov", 0.5, seed=1, burn_in=0, samples=6), True),
+        (ChainConfig(10**12, "ejs", 0.5, seed=1, burn_in=0, samples=4), True),
+    ]:
         calls.clear()
         distinct = len(run_chain(config).visit_counts)
         assert 1 < distinct <= config.samples
-        assert calls["staircase_distance"] == calls["potential_energy"] == distinct
+        assert calls["staircase_distance"] == calls["potential_energy"] == distinct * per_state
     # the variant registry is built per call, so it holds the patched enumerators;
     # the Bulgarian, dual and Carolina graphs are walked back from their cycles
     # instead, and so is the Austrian graph, which enumerates only the first of
