@@ -58,9 +58,10 @@ NECKLACE_K_BOUND = 14_284
 TOOM_K_BOUND = 100
 # the cards bound the cost of one move of an orbit, and the state limit the
 # number of moves, each a state visited: an orbit from one pile of n cards
-# takes about n moves on states of up to n parts, and at 4,000 cards the
-# slowest variant, montreal, takes about 3.5 s in O(1) states; a Janetzko
-# start of 4,000 cards over 3 seats cycles after 1,129,719 moves
+# takes about n moves on states of up to n parts, and at 4,000 cards a
+# montreal one takes about 3 s in O(1) states; a Janetzko start of 4,000
+# cards over 3 seats cycles after 1,129,719 moves, and 1047,1505,1448 with
+# pointer 1 walks all 2,000,000 of the default limit, in 14 to 20 s
 ORBIT_CARD_BOUND = 4_000
 
 STATE_KINDS = ("partition", "strict", "montreal", "circular")
@@ -110,11 +111,7 @@ def render_young(lam: Partition, style: str = "rows") -> str:
 
 # --- state-space size guard ---
 
-def _state_limit(args) -> int:
-    if getattr(args, "limit", None) is not None:
-        if args.limit < 0:
-            raise ValueError(f"--limit must be nonnegative, got {args.limit}")
-        return args.limit
+def _state_limit() -> int:
     env = os.environ.get("BSOL_MAX_STATES")
     if env is not None:
         try:
@@ -169,17 +166,13 @@ def _cmd_orbit(args) -> int:
         raise EnumerationBoundError(
             f"an orbit of {total} cards is over the bound of {ORBIT_CARD_BOUND} cards"
         )
-    bound = args.step_bound
-    if bound is None:  # each move visits a state, so the state limit binds too
-        default, limit = dynamics.default_step_bound(start), _state_limit(args)
-        if limit < 1:  # as a chain's, an orbit's first move visits a state
-            raise EnumerationBoundError(f"an orbit visits at least 1 state, over the limit {limit}")
-        bound = min(default, limit)
+    # each move visits a state, so the state limit binds as well as the default bound
+    default, limit = dynamics.default_step_bound(start), _state_limit()
+    if limit < 1:  # as a chain's, an orbit's first move visits a state
+        raise EnumerationBoundError(f"an orbit visits at least 1 state, over the limit {limit}")
     try:
-        tail, length = tail_cycle(start, variant.step, step_bound=bound)
+        tail, length = tail_cycle(start, variant.step, min(default, limit))
     except StepBoundError as exc:
-        if args.step_bound is not None:
-            raise ValueError(f"--step-bound {args.step_bound} is too small: {exc}") from None
         if limit < default:
             raise EnumerationBoundError(
                 f"{exc}: the orbit visits more than the limit of {limit} states"
@@ -205,7 +198,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_graph(args) -> int:
     # only the austrian variant reads --L; a missing or bad one is a usage error, before sizing
     get_variant(args.variant, L=args.L)
-    limit = _state_limit(args)
+    limit = _state_limit()
     _check_space(args.variant, args.n, args.L, limit)
     # the seeds are sized above; montreal cycles leave them, so the states
     # on those cycles count against the limit too, before anything is printed
@@ -227,7 +220,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_ge(args) -> int:
-    _check_space("bulgarian", args.n, None, _state_limit(args))
+    _check_space("bulgarian", args.n, None, _state_limit())
     ge = (
         lam
         for lam in enumerate_partitions(args.n)
@@ -253,7 +246,7 @@ def _cmd_necklaces(args) -> int:
     necklaces = None
     if args.list:
         # each of the C(k, r) bead placements is read in its k rotations
-        if comb(k, r) * k > _state_limit(args):
+        if comb(k, r) * k > _state_limit():
             raise EnumerationBoundError(
                 f"listing necklaces reads {comb(k, r)} bead placements in {k} rotations "
                 f"each, over the limit"
@@ -276,7 +269,7 @@ def _cmd_necklaces(args) -> int:
 
 def _cmd_knuth(args) -> int:
     n = args.k * (args.k + 1) // 2
-    _check_space("bulgarian", n, None, _state_limit(args))
+    _check_space("bulgarian", n, None, _state_limit())
     report = knuth_exponent_check(args.k)
     verdict = "holds" if report.holds else "FAILS"
     print(
@@ -312,7 +305,7 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
         initial=initial,
     )
-    moves, limit = config.burn_in + config.samples, _state_limit(args)
+    moves, limit = config.burn_in + config.samples, _state_limit()
     if moves > limit:  # each move visits one state
         raise EnumerationBoundError(
             f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
@@ -348,7 +341,7 @@ def _cmd_render(args) -> int:
     # a character per cell, or the cradle's grid, a square at most
     # len(lam) + lam[0] - 1 wide; both count against the state limit
     size = sum(lam) if args.style == "rows" or not lam else (len(lam) + lam[0] - 1) ** 2
-    limit = _state_limit(args)
+    limit = _state_limit()
     if size > limit:
         raise EnumerationBoundError(f"the diagram has {size} characters, over the limit {limit}")
     print(render_young(lam, args.style))
@@ -359,7 +352,9 @@ def _cmd_render(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bsol", description="Bulgarian solitaire and its variants."
+        prog="bsol", description="Bulgarian solitaire and its variants.",
+        epilog=f"BSOL_MAX_STATES caps the states that any command visits "
+               f"(default {DEFAULT_STATE_LIMIT:,}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     orbit_p.add_argument("--L", type=int, help="machine lifetime (austrian)")
     orbit_p.add_argument("--bank", type=int, default=0, help="initial bank (austrian)")
     orbit_p.add_argument("--pointer", type=int, default=1, help="initial pointer (janetzko)")
-    orbit_p.add_argument("--step-bound", type=int, default=None)
     orbit_p.add_argument("--format", default="text", choices=["text", "json"])
     orbit_p.set_defaults(handler=_cmd_orbit)
 
@@ -380,27 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p.add_argument("--variant", default="bulgarian",
                          choices=["bulgarian", "dual", "carolina", "montreal", "austrian"])
     graph_p.add_argument("--L", type=int, help="machine lifetime (austrian)")
-    graph_p.add_argument("--limit", type=int, default=None,
-                         help="maximum number of states to enumerate")
     graph_p.add_argument("--format", default="text", choices=["text", "json", "dot"])
     graph_p.set_defaults(handler=_cmd_graph)
 
     ge_p = sub.add_parser("ge", help="list the Garden of Eden partitions of n")
     ge_p.add_argument("--n", type=int, required=True)
-    ge_p.add_argument("--limit", type=int, default=None)
     ge_p.add_argument("--format", default="text", choices=["text", "json"])
     ge_p.set_defaults(handler=_cmd_ge)
 
     neck_p = sub.add_parser("necklaces", help="component count via the necklace formula")
     neck_p.add_argument("--n", type=int, required=True)
     neck_p.add_argument("--list", action="store_true", help="list the necklace classes")
-    neck_p.add_argument("--limit", type=int, default=None)
     neck_p.add_argument("--format", default="text", choices=["text", "json"])
     neck_p.set_defaults(handler=_cmd_necklaces)
 
     knuth_p = sub.add_parser("knuth", help="check the k(k-1) convergence exponent")
     knuth_p.add_argument("--k", type=int, required=True)
-    knuth_p.add_argument("--limit", type=int, default=None)
     knuth_p.set_defaults(handler=_cmd_knuth)
 
     toom_p = sub.add_parser("toom", help="slowest known start and its mirror symmetry")

@@ -203,22 +203,22 @@ def trajectory(start: State, step: StepFn) -> Iterator[State]:
 def tail_cycle(start: State, step: StepFn, step_bound: int | None = None) -> tuple[int, int]:
     """(tail, cycle_length) of start's orbit by Brent's method ("An improved
     Monte Carlo factorization algorithm"), in O(1) states.  StepBoundError
-    means a first repeat after more than most = max(step_bound, 1) moves:
-    with one within them, the tortoise that waits out the first window of
-    most or more moves would sit on the cycle, and the hare meet it there."""
+    means a first repeat after more than step_bound moves and after the
+    first, which is always made, so a fixed point passes any bound: with a
+    repeat within them, the tortoise that waits out the first window of
+    step_bound or more moves would sit on the cycle, and the hare meet it."""
     if step_bound is None:
         step_bound = default_step_bound(start)
-    most = max(step_bound, 1)
     tortoise, hare = start, step(start)
     power = length = 1
-    while tortoise != hare and length < most:
+    while tortoise != hare and length < step_bound:
         if length == power:
             tortoise, power, length = hare, 2 * power, 0
         hare = step(hare)
         length += 1
     if tortoise == hare:  # length moves apart, both on the cycle: it is the cycle's length
         tortoise, hare, tail = start, next(islice(trajectory(start, step), length, None)), 0
-        while tortoise != hare and tail + length < most:
+        while tortoise != hare and tail + length < step_bound:
             tortoise, hare = step(tortoise), step(hare)
             tail += 1
     if tortoise != hare:

@@ -170,19 +170,15 @@ def test_cli_orbit_counts_its_moves_against_the_state_limit(capsys, monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert "tail length: 0\ncycle length: 4830\n" in out
-    # an explicit --step-bound is the user's, whatever the limit
-    monkeypatch.setenv("BSOL_MAX_STATES", "10")
-    assert run_cli(capsys, *argv, "--step-bound", "4830")[0] == 0
 
 
 def test_cli_orbit_at_a_state_limit_of_0_exits_3(capsys, monkeypatch):
     # the first move visits a state, so a fixed point passes a limit of 0
-    # too, as a chain's first move does; an explicit --step-bound still wins
+    # too, as a chain's first move does
     monkeypatch.setenv("BSOL_MAX_STATES", "0")
     for state in ("3,2,1", "4,3,3"):
         assert run_cli(capsys, "orbit", "--state", state) == (
             3, "", "error: an orbit visits at least 1 state, over the limit 0\n")
-    assert run_cli(capsys, "orbit", "--state", "3,2,1", "--step-bound", "0")[0] == 0
 
 
 def test_cli_orbit_bad_state_exits_2(capsys):
@@ -215,24 +211,6 @@ def test_cli_orbit_montreal_past_the_default_bound_exits_3(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: no repetition within 160000 steps") and err.count("\n") == 1
     assert "montreal orbits have no proven bound" in err
-
-
-def test_cli_orbit_user_step_bound_too_small_exits_2(capsys):
-    for bound in ("1", "0", "-3"):
-        code, out, err = run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", bound)
-        assert code == 2
-        assert out == ""
-        assert f"--step-bound {bound} is too small" in err
-        assert "Traceback" not in err
-    assert run_cli(capsys, "orbit", "--state", "5,3,1", "--step-bound", "20")[0] == 0
-
-
-def test_cli_orbit_returns_within_a_bound_below_one_move(capsys):
-    # the first move is always made and tested for a repeat before the
-    # bound is, so a fixed point passes any bound
-    expected = "variant: bulgarian\ntail length: 0\ncycle length: 1\n   0  3,2,1 *\n   1  3,2,1 *\n"
-    for bound in ("0", "-3"):
-        assert run_cli(capsys, "orbit", "--state", "3,2,1", "--step-bound", bound) == (0, expected, "")
 
 
 def test_cli_orbit_guard_lets_the_bound_itself_through(capsys):
@@ -288,17 +266,19 @@ def test_cli_graph_dot(capsys):
     assert "ge=true" in out
 
 
-def test_cli_graph_limit_exit_3(capsys):
-    code, _, err = run_cli(capsys, "graph", "--n", "8", "--limit", "10")
+def test_cli_graph_limit_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("BSOL_MAX_STATES", "10")
+    code, _, err = run_cli(capsys, "graph", "--n", "8")
     assert code == 3
     assert "22" in err
 
 
 @pytest.mark.parametrize("limit, code", [("4000", 3), ("5527", 3), ("5528", 0)])
-def test_cli_graph_montreal_counts_visited_states_against_the_limit(capsys, limit, code):
+def test_cli_graph_montreal_counts_visited_states_against_the_limit(capsys, monkeypatch,
+                                                                   limit, code):
     # the 3,432 seeds at n = 8 pass the limit, but their orbits visit 5,528 states
-    got, out, err = run_cli(capsys, "graph", "--variant", "montreal", "--n", "8",
-                            "--limit", limit)
+    monkeypatch.setenv("BSOL_MAX_STATES", limit)
+    got, out, err = run_cli(capsys, "graph", "--variant", "montreal", "--n", "8")
     assert got == code
     if code == 3:
         assert out == ""
@@ -323,15 +303,26 @@ def test_cli_negative_n_exits_2(capsys):
 
 
 def test_cli_negative_limit_exits_2(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, "graph", "--n", "5", "--limit", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--limit must be nonnegative" in err
     monkeypatch.setenv("BSOL_MAX_STATES", "-1")
     code, out, err = run_cli(capsys, "graph", "--n", "5")
     assert code == 2
     assert out == ""
     assert "BSOL_MAX_STATES must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--state", "4,3,3", "--step-bound", "5"),
+    *[(command, "--n", "8", "--limit", "5") for command in ("graph", "ge", "necklaces")],
+    ("knuth", "--k", "3", "--limit", "5"),
+])
+def test_cli_size_flags_are_usage_errors(capsys, argv):
+    # BSOL_MAX_STATES is the one size knob: no subcommand takes a flag for it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "unrecognized arguments" in err
+    assert "Traceback" not in err
+    code, usage, _ = run_cli(capsys, argv[0], "--help")
+    assert code == 0 and "--limit" not in usage and "--step-bound" not in usage
 
 
 def test_cli_graph_over_the_counting_bound_exits_3(capsys):
@@ -363,7 +354,7 @@ def test_cli_graph_austrian_needs_positive_L(capsys):
     assert run_cli(capsys, "graph", "--n", "5", "--variant", "austrian", "--L", "2")[0] == 0
 
 
-def test_cli_graph_n_0(capsys):
+def test_cli_graph_n_0(capsys, monkeypatch):
     # the empty partition is the one state of the Bulgarian and Austrian
     # games; the dual move needs a pile to deal out, and compositions start
     # at 1, whatever the limit
@@ -372,14 +363,13 @@ def test_cli_graph_n_0(capsys):
         assert code == 0
         assert err == ""
         assert json.loads(out)["state_count"] == 1
-    for argv, message in [(("--variant", "dual"), "dual step needs a nonempty partition"),
-                          (("--variant", "dual", "--limit", "0"), "dual step needs a nonempty partition"),
-                          (("--variant", "carolina"), "n must be positive, got 0"),
-                          (("--variant", "carolina", "--limit", "0"), "n must be positive, got 0"),
-                          (("--variant", "montreal"), "n must be positive, got 0"),
-                          (("--variant", "montreal", "--limit", "0"), "n must be positive, got 0")]:
-        code, out, err = run_cli(capsys, "graph", "--n", "0", *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    for limit in (str(DEFAULT_STATE_LIMIT), "0"):
+        monkeypatch.setenv("BSOL_MAX_STATES", limit)
+        for variant, message in [("dual", "dual step needs a nonempty partition"),
+                                 ("carolina", "n must be positive, got 0"),
+                                 ("montreal", "n must be positive, got 0")]:
+            code, out, err = run_cli(capsys, "graph", "--n", "0", "--variant", variant)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_cli_graph_reads_L_only_for_austrian(capsys):
@@ -781,15 +771,14 @@ ARGV = st.one_of(
     _argv("orbit", {"state": st.one_of(STATES, HUGE)},
           variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian",
                           "servedio_yeh", "janetzko"),
-          L=SMALL, bank=SMALL, pointer=SMALL, step_bound=SMALL, format=_choice("text", "json")),
+          L=SMALL, bank=SMALL, pointer=SMALL, format=_choice("text", "json")),
     _argv("graph", {"n": st.one_of(st.integers(-3, 9).map(str), MALFORMED, HUGE)},
           variant=_choice("bulgarian", "dual", "carolina", "montreal", "austrian"),
-          L=st.one_of(SMALL, HUGE), limit=SMALL, format=_choice("text", "json", "dot")),
-    _argv("ge", {"n": st.one_of(SMALL, HUGE)}, limit=SMALL, format=_choice("text", "json")),
-    _argv("necklaces", {"n": st.one_of(SMALL, HUGE)}, list=st.none(), limit=SMALL,
+          L=st.one_of(SMALL, HUGE), format=_choice("text", "json", "dot")),
+    _argv("ge", {"n": st.one_of(SMALL, HUGE)}, format=_choice("text", "json")),
+    _argv("necklaces", {"n": st.one_of(SMALL, HUGE)}, list=st.none(),
           format=_choice("text", "json")),
-    _argv("knuth", {"k": st.one_of(st.integers(-3, 4).map(str), MALFORMED, HUGE)},
-          limit=SMALL),
+    _argv("knuth", {"k": st.one_of(st.integers(-3, 4).map(str), MALFORMED, HUGE)}),
     _argv("toom", {"k": st.one_of(SMALL, HUGE)}),
     _argv("simulate", {"variant": _choice("popov", "ejs"), "n": st.one_of(SMALL, HUGE),
                        "p": FRACTIONS,
@@ -813,7 +802,7 @@ class CountingSink(io.TextIOBase):
         return len(text)
 
 
-# the commands whose every run visits a state, unless --step-bound is given
+# the commands whose every run visits a state
 LIMITED = ("orbit", "graph", "ge", "knuth", "simulate")
 
 
@@ -823,6 +812,9 @@ LIMITED = ("orbit", "graph", "ge", "knuth", "simulate")
 @example(["orbit", "--state", "3,2,1"], "0")
 # usage text at a limit of 0 is a success: it visits no state
 @example(["graph", "--help"], "0")
+# BSOL_MAX_STATES is the one size knob: a size flag is a usage error
+@example(["graph", "--n", "8", "--limit", "5"], "60")
+@example(["orbit", "--state", "4,3,3", "--step-bound", "5"], "60")
 def test_cli_exit_code_contract_holds_for_any_argv(argv, env_limit):
     out, err = CountingSink(), io.StringIO()
     with mock.patch.dict(os.environ, {"BSOL_MAX_STATES": env_limit}), \
@@ -834,9 +826,7 @@ def test_cli_exit_code_contract_holds_for_any_argv(argv, env_limit):
         assert err.getvalue().startswith("error: ")
     if code == 3:  # every guard refuses before anything is printed
         assert out.size == 0
-    limit = argv[argv.index("--limit") + 1] if "--limit" in argv else env_limit
-    if (limit == "0" and argv and argv[0] in LIMITED and "--step-bound" not in argv
-            and "--help" not in argv):
+    if env_limit == "0" and argv and argv[0] in LIMITED and "--help" not in argv:
         assert code != 0
 
 

@@ -13,6 +13,7 @@ from bsol.dynamics import (
     get_variant,
     knuth_exponent_check,
     orbit,
+    tail_cycle,
     toom_path,
 )
 
@@ -73,6 +74,15 @@ def test_orbit_montreal_18_cycle():
 def test_orbit_step_bound():
     with pytest.raises(StepBoundError):
         orbit((4, 3, 3), bulgarian_step, step_bound=3)
+
+
+def test_tail_cycle_returns_within_a_bound_below_one_move():
+    # the first move is always made and tested for a repeat before the
+    # bound is, so a fixed point passes any bound, and no other start does
+    for bound in (0, -3):
+        assert tail_cycle((3, 2, 1), bulgarian_step, bound) == (0, 1)
+    with pytest.raises(StepBoundError):
+        tail_cycle((4, 3, 3), bulgarian_step, 0)
 
 
 # --- state-space analysis ---

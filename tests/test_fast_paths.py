@@ -36,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 import bsol.cli
 import bsol.dynamics
 import bsol.stochastic
-from bsol.cli import main
+from bsol.cli import DEFAULT_STATE_LIMIT, main
 from bsol.dynamics import (
     CycleWitness,
     GraphSummary,
@@ -1226,17 +1226,18 @@ def test_montreal_leaders_match_the_visited_set(capsys, monkeypatch, n):
     assert tuple(walked.cycles) == oracle.cycles
     assert walked.state_count == oracle.state_count
     assert sum(map(len, walked.cycles)) == walked.state_count  # each replay comes back
-    extras = [("--format", fmt) for fmt in ("text", "json", "dot")]
+    runs = [(("--format", fmt), str(DEFAULT_STATE_LIMIT)) for fmt in ("text", "json", "dot")]
     if n <= 8:
-        extras += [("--limit", str(oracle.state_count + d)) for d in (-1, 0)]
-    for extra in extras:
+        runs += [((), str(oracle.state_count + d)) for d in (-1, 0)]
+    for extra, limit in runs:
         argv = ["graph", "--variant", "montreal", "--n", str(n), *extra]
+        monkeypatch.setenv("BSOL_MAX_STATES", limit)
         got = main(argv), capsys.readouterr()
         with monkeypatch.context() as patched:
             patched.setattr(bsol.cli, "analyze_state_space",
                             lambda n, variant, L, limit: montreal_summary_oracle(n, limit))
             expected = main(argv), capsys.readouterr()
-        assert got == expected, extra
+        assert got == expected, (extra, limit)
 
 
 @pytest.mark.parametrize("variant", ["popov", "ejs"])
