@@ -18,17 +18,16 @@ from math import comb
 
 from . import dynamics  # default_step_bound is read at call time, as tail_cycle reads it
 from .dynamics import (
-    _NL,
-    _SEP,
+    _COMPACT,
     StepBoundError,
     WalkError,
     _json_array,
+    _state_json,
     analyze_state_space,
     garden_of_eden_test,
     get_variant,
     knuth_exponent_check,
     state_label,
-    state_to_jsonable,
     state_total,
     tail_cycle,
     toom_path,
@@ -185,7 +184,7 @@ def _cmd_orbit(args) -> int:
     # the path is walked again as it is written, so nothing holds all of it
     path = islice(trajectory(start, variant.step), tail + length + 1)
     if args.format == "json":
-        lines = (json.dumps(state_to_jsonable(s), separators=(",", ":")) for s in path)
+        lines = map(_state_json, path)
     else:
         print(f"variant: {args.variant}")
         print(f"tail length: {tail}")
@@ -226,9 +225,8 @@ def _cmd_ge(args) -> int:
         for lam in enumerate_partitions(args.n)
         if lam and garden_of_eden_test(lam)
     )
-    if args.format == "json":  # json.dumps([list(lam) for lam in ge], indent=2)
-        sys.stdout.writelines(
-            _json_array((f"[{_NL[2]}{join_parts(lam, _SEP[2])}{_NL[1]}]" for lam in ge), 0))
+    if args.format == "json":  # json.dumps([list(lam) for lam in ge], separators=_COMPACT)
+        sys.stdout.writelines(_json_array(f"[{join_parts(lam)}]" for lam in ge))
         print()
     else:
         sys.stdout.writelines(format_parts(lam) + "\n" for lam in ge)
@@ -258,7 +256,7 @@ def _cmd_necklaces(args) -> int:
             data["necklaces"] = [
                 {"beads": str(x), "period": x.period()} for x in necklaces
             ]
-        print(json.dumps(data, indent=2))
+        print(json.dumps(data, separators=_COMPACT))
     else:
         print(f"n={args.n}: k={k}, r={r}, components={count}")
         if necklaces is not None:
@@ -309,11 +307,6 @@ def _cmd_simulate(args) -> int:
     if moves > limit:  # each move visits one state
         raise EnumerationBoundError(
             f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
-        )
-    k = triangular_decompose(config.n)[0]
-    if k > limit:  # the chain's states grow toward the k-part staircase
-        raise EnumerationBoundError(
-            f"the reference staircase at n={config.n} has {k} parts, over the limit {limit}"
         )
     stats = run_chain(config)
     if args.format == "json":

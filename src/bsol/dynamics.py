@@ -74,42 +74,24 @@ def state_to_jsonable(state: State) -> dict:
     return state.to_jsonable()
 
 
-# bsol writes one JSON layout, that of json.dumps(..., indent=2): _NL[d]
-# starts a line d levels down and _SEP[d] separates two members there.
-_NL = tuple("\n" + "  " * depth for depth in range(6))
-_SEP = tuple("," + nl for nl in _NL)
-
-# a nonempty partition's object d levels down, d = 2 or 3: the texts before
-# its parts, between two parts, between its parts and n, and after n
-_STATE_TEXTS = {
-    depth: ("{" + _NL[depth + 1] + '"parts": [' + _NL[depth + 2], _SEP[depth + 2],
-            _NL[depth + 1] + "]" + _SEP[depth + 1] + '"n": ', _NL[depth] + "}")
-    for depth in (2, 3)
-}
+# bsol writes one JSON layout, that of json.dumps(..., separators=_COMPACT)
+_COMPACT = (",", ":")
 # characters per output chunk of a large JSON list or dict, or of DOT lines:
 # one write per member would cost more than the member, one chunk would
 # hold all, and a member runs from one state's text to a Montreal cycle's
 _CHUNK = 1 << 14
 
 
-def _state_json(state: State, depth: int = 2) -> str:
-    """json.dumps(state_to_jsonable(state), indent=2) as it reads depth
-    levels down a document, depth = 2 or 3.
-
-    Nonempty tuples fill the texts above with the parts' texts.  Other
-    states go through json.dumps, re-indented at every newline: json
-    escapes newlines inside strings, so each raw one starts a line.
-    """
-    if isinstance(state, tuple) and state:
-        head, sep, mid, tail = _STATE_TEXTS[depth]
-        return f"{head}{join_parts(state, sep)}{mid}{sum(state)}{tail}"
-    return json.dumps(state_to_jsonable(state), indent=2).replace("\n", _NL[depth])
+def _state_json(state: State) -> str:
+    """json.dumps(state_to_jsonable(state), separators=_COMPACT)."""
+    if isinstance(state, tuple):
+        return f'{{"parts":[{join_parts(state)}],"n":{sum(state)}}}'
+    return json.dumps(state_to_jsonable(state), separators=_COMPACT)
 
 
 def _cycle_json(cycle: Iterable[State]) -> str:
-    """json.dumps([state_to_jsonable(s) for s in cycle], indent=2) as it
-    reads two levels down a document."""
-    return "".join(_json_array((_state_json(s, 3) for s in cycle), 2))
+    """json.dumps([state_to_jsonable(s) for s in cycle], separators=_COMPACT)."""
+    return "".join(_json_array(map(_state_json, cycle)))
 
 
 def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
@@ -125,34 +107,29 @@ def _batches(texts: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def _json_array(members: Iterable[str], depth: int, brackets: str = "[]") -> Iterator[str]:
-    """json.dumps(value, indent=2), in chunks, for a list or dict value as
-    it reads depth levels down a document; its members come already
-    rendered, one level further down.
-
-    json uses its C encoder only without an indent; with one it falls back
-    to a pure-Python encoder that also holds every fragment until the end.
-    Here the members are joined a batch at a time, so no chunk holds them
-    all.  brackets is "[]" or "{}", and a dict member is its '"key": value'
-    text.
+def _json_array(members: Iterable[str], brackets: str = "[]") -> Iterator[str]:
+    """A JSON list or dict of members that come already rendered, in
+    chunks joined a batch at a time, so that no chunk holds every member.
+    brackets is "[]" or "{}", and a dict member is its '"key":value' text.
     """
-    opening = sep = brackets[0] + _NL[depth + 1]
+    opening = sep = brackets[0]
     for batch in _batches(members):
-        yield sep + _SEP[depth + 1].join(batch)
-        sep = _SEP[depth + 1]
-    yield brackets if sep is opening else _NL[depth] + brackets[1]
+        yield sep + ",".join(batch)
+        sep = ","
+    yield brackets if sep is opening else brackets[1]
 
 
 def json_with_bulk(head: dict, *bulk: tuple[str, str, Iterable[str]]) -> Iterator[str]:
-    """json.dumps({**head, key: value, ...}, indent=2), in chunks, for each
-    (key, brackets, members) of bulk in turn: a large value that
-    _json_array writes.  Only the small, nonempty head goes through json.
+    """json.dumps({**head, key: value, ...}, separators=_COMPACT), in
+    chunks, for each (key, brackets, members) of bulk in turn: a large
+    value that _json_array writes.  Only the small, nonempty head goes
+    through json.
     """
-    yield json.dumps(head, indent=2).removesuffix("\n}")
+    yield json.dumps(head, separators=_COMPACT)[:-1]
     for key, brackets, members in bulk:
-        yield f"{_SEP[1]}{json.dumps(key)}: "
-        yield from _json_array(members, 1, brackets)
-    yield "\n}"
+        yield f",{json.dumps(key)}:"
+        yield from _json_array(members, brackets)
+    yield "}"
 
 
 def state_label(state: State) -> str:

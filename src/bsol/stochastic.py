@@ -148,6 +148,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        if self.n >= 2**63:  # numpy draws a binomial over a pile as a C long
+            raise ValueError(f"n must be below 2^63, got {self.n}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 < self.p <= 1.0:
@@ -199,7 +201,7 @@ class ChainStats:
         # a key is digits and commas, so it needs no escaping
         visits = self.visit_counts
         counts = (
-            f'"{format_parts(lam)}": {visits[lam]}' for lam in sorted(visits, reverse=True)
+            f'"{format_parts(lam)}":{visits[lam]}' for lam in sorted(visits, reverse=True)
         )
         return json_with_bulk(head, ("visit_counts", "{}", counts))
 
