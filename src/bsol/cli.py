@@ -21,6 +21,7 @@ from .dynamics import (
     _COMPACT,
     StepBoundError,
     WalkError,
+    _batches,
     _json_array,
     _state_json,
     analyze_state_space,
@@ -63,16 +64,12 @@ TOOM_K_BOUND = 100
 # pointer 1 walks all 2,000,000 of the default limit, in 14 to 20 s
 ORBIT_CARD_BOUND = 4_000
 
-STATE_KINDS = ("partition", "strict", "montreal", "circular")
-
 
 def parse_state(text: str, kind: str) -> tuple[int, ...]:
     """Parse comma-separated text into a canonical state of the given kind.
 
     Partitions are normalized; compositions keep their order.
     """
-    if kind not in STATE_KINDS:
-        raise ValueError(f"unknown state kind {kind!r}")
     parts = parse_parts(text)
     if kind == "partition":
         return normalize(parts)
@@ -123,6 +120,14 @@ def _state_limit() -> int:
     return DEFAULT_STATE_LIMIT
 
 
+def _within_limit(size: int, what: str) -> int:
+    """The state limit; a size past it is refused, with what saying what it counts."""
+    limit = _state_limit()
+    if size > limit:
+        raise EnumerationBoundError(f"{what}, over the limit {limit}")
+    return limit
+
+
 def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
@@ -166,9 +171,8 @@ def _cmd_orbit(args) -> int:
             f"an orbit of {total} cards is over the bound of {ORBIT_CARD_BOUND} cards"
         )
     # each move visits a state, so the state limit binds as well as the default bound
-    default, limit = dynamics.default_step_bound(start), _state_limit()
-    if limit < 1:  # as a chain's, an orbit's first move visits a state
-        raise EnumerationBoundError(f"an orbit visits at least 1 state, over the limit {limit}")
+    default = dynamics.default_step_bound(start)
+    limit = _within_limit(1, "an orbit visits at least 1 state")  # its first move, as a chain's
     try:
         tail, length = tail_cycle(start, variant.step, min(default, limit))
     except StepBoundError as exc:
@@ -190,7 +194,7 @@ def _cmd_orbit(args) -> int:
         print(f"tail length: {tail}")
         print(f"cycle length: {length}")
         lines = (f"{i:4d}  {state_label(s)}{' *' if i >= tail else ''}" for i, s in enumerate(path))
-    sys.stdout.writelines(line + "\n" for line in lines)
+    sys.stdout.writelines(map("".join, _batches(line + "\n" for line in lines)))
     return 0
 
 
@@ -229,7 +233,7 @@ def _cmd_ge(args) -> int:
         sys.stdout.writelines(_json_array(f"[{join_parts(lam)}]" for lam in ge))
         print()
     else:
-        sys.stdout.writelines(format_parts(lam) + "\n" for lam in ge)
+        sys.stdout.writelines(map("".join, _batches(format_parts(lam) + "\n" for lam in ge)))
     return 0
 
 
@@ -244,11 +248,8 @@ def _cmd_necklaces(args) -> int:
     necklaces = None
     if args.list:
         # each of the C(k, r) bead placements is read in its k rotations
-        if comb(k, r) * k > _state_limit():
-            raise EnumerationBoundError(
-                f"listing necklaces reads {comb(k, r)} bead placements in {k} rotations "
-                f"each, over the limit"
-            )
+        _within_limit(comb(k, r) * k, f"listing necklaces reads {comb(k, r)} bead "
+                                      f"placements in {k} rotations each")
         necklaces = list_necklaces(k, r)
     if args.format == "json":
         data = {"n": args.n, "k": k, "r": r, "count": count}
@@ -280,11 +281,13 @@ def _cmd_knuth(args) -> int:
 
 
 def _cmd_toom(args) -> int:
+    steps = args.k * (args.k - 1)
     if args.k > TOOM_K_BOUND:
         raise EnumerationBoundError(
-            f"toom at k={args.k} walks {args.k * (args.k - 1)} steps, "
-            f"over the bound k={TOOM_K_BOUND}"
+            f"toom at k={args.k} walks {steps} steps, over the bound k={TOOM_K_BOUND}"
         )
+    if args.k >= 2:  # its path holds k(k-1) states; toom_path refuses a smaller k
+        _within_limit(steps, f"toom at k={args.k} walks {steps} steps")
     report = toom_path(args.k)
     print(f"k={report.k}: tau = {format_parts(report.tau)}")
     print(f"steps to staircase: {report.minimal_steps} (expected {report.expected_steps})")
@@ -303,11 +306,8 @@ def _cmd_simulate(args) -> int:
         samples=args.samples,
         initial=initial,
     )
-    moves, limit = config.burn_in + config.samples, _state_limit()
-    if moves > limit:  # each move visits one state
-        raise EnumerationBoundError(
-            f"a chain of {moves} moves visits {moves} states, over the limit {limit}"
-        )
+    moves = config.burn_in + config.samples  # each move visits one state
+    _within_limit(moves, f"a chain of {moves} moves visits {moves} states")
     stats = run_chain(config)
     if args.format == "json":
         sys.stdout.writelines(stats.json_chunks())
@@ -334,9 +334,7 @@ def _cmd_render(args) -> int:
     # a character per cell, or the cradle's grid, a square at most
     # len(lam) + lam[0] - 1 wide; both count against the state limit
     size = sum(lam) if args.style == "rows" or not lam else (len(lam) + lam[0] - 1) ** 2
-    limit = _state_limit()
-    if size > limit:
-        raise EnumerationBoundError(f"the diagram has {size} characters, over the limit {limit}")
+    _within_limit(size, f"the diagram has {size} characters")
     print(render_young(lam, args.style))
     return 0
 

@@ -12,7 +12,7 @@ partition, and reachability of every cycle from a Garden of Eden state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, combinations, islice, permutations, takewhile
 from math import comb, inf
@@ -44,7 +44,6 @@ from .partitions import (
     enumerate_partitions_ascending,
     format_parts,
     join_parts,
-    parts_to_json,
     staircase,
     triangular_decompose,
 )
@@ -69,9 +68,11 @@ def state_total(state: State) -> int:
 
 
 def state_to_jsonable(state: State) -> dict:
+    """A state as JSON data: a partition or composition as its parts and
+    total, and any record as its fields, in the order they are declared."""
     if isinstance(state, tuple):
-        return parts_to_json(state)
-    return state.to_jsonable()
+        return {"parts": list(state), "n": sum(state)}
+    return asdict(state)
 
 
 # bsol writes one JSON layout, that of json.dumps(..., separators=_COMPACT)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
-from typing import Iterator
 
 from .partitions import Partition, triangular_decompose
 
@@ -42,16 +41,11 @@ def euler_phi(d: int) -> int:
 def necklace_count(n: int) -> int:
     """Number of components of the Bulgarian graph on partitions of n."""
     k, r = triangular_decompose(n)
-    total = sum(euler_phi(d) * comb(k // d, r // d) for d in _divisors(gcd(r, k)))
+    g = gcd(r, k)
+    total = sum(euler_phi(d) * comb(k // d, r // d) for d in range(1, g + 1) if g % d == 0)
     if total % k:  # the cyclic-group average is always an integer
         raise AssertionError(f"inexact division for n={n}: {total}/{k}")
     return total // k
-
-
-def _divisors(m: int) -> Iterator[int]:
-    for d in range(1, m + 1):
-        if m % d == 0:
-            yield d
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +66,9 @@ class Necklace:
     def r(self) -> int:
         return sum(self.beads)
 
-    def rotations(self) -> Iterator[tuple[bool, ...]]:
-        for s in range(self.k):
-            yield self.beads[s:] + self.beads[:s]
-
     def canonical_beads(self) -> tuple[bool, ...]:
         # max over bool tuples = lexicographically smallest B/W string
-        return max(self.rotations())
+        return max(self.beads[s:] + self.beads[:s] for s in range(self.k))
 
     def rotated(self, steps: int = 1) -> "Necklace":
         """Rotate one place rightward: bead i moves to position i + 1."""

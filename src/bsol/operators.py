@@ -104,9 +104,6 @@ class AustrianState:
     def total(self) -> int:
         return sum(self.piles) + self.bank
 
-    def to_jsonable(self) -> dict:
-        return {"piles": list(self.piles), "bank": self.bank, "L": self.L}
-
 
 def austrian_step(state: AustrianState) -> AustrianState:
     """Age every machine one year, then buy new machines while the bank allows."""
@@ -132,9 +129,6 @@ class MultiplayerState:
     @property
     def total(self) -> int:
         return sum(sum(lam) for lam in self.players)
-
-    def to_jsonable(self) -> dict:
-        return {"players": [list(lam) for lam in self.players]}
 
 
 def multiplayer_step(state: MultiplayerState) -> MultiplayerState:
@@ -199,9 +193,6 @@ class PointerState:
     @property
     def total(self) -> int:
         return sum(self.piles)
-
-    def to_jsonable(self) -> dict:
-        return {"piles": list(self.piles), "pointer": self.pointer}
 
 
 def janetzko_step(state: PointerState) -> PointerState:

@@ -4,8 +4,7 @@ A partition is a nonincreasing tuple of positive ints; the empty tuple is
 the unique partition of 0.  Compositions keep their order: strict
 compositions have positive parts, Montreal compositions allow interior
 zeros but need positive endpoints, circular compositions have a fixed
-length and allow zeros anywhere.  All values are immutable and hashable,
-so they can be shared freely across threads or processes.
+length and allow zeros anywhere.  All values are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -233,12 +232,12 @@ def _montreal_tail(n: int, length: int, low: int) -> Iterator[Composition]:
 _DIGITS = {i: str(i) for i in range(256)}
 
 
-def join_parts(parts: tuple[int, ...], sep: str = ",") -> str:
-    """The parts' decimal texts joined by sep."""
+def join_parts(parts: tuple[int, ...]) -> str:
+    """The parts' decimal texts joined by commas."""
     try:
-        return sep.join(map(_DIGITS.__getitem__, parts))
+        return ",".join(map(_DIGITS.__getitem__, parts))
     except KeyError:
-        return sep.join(map(str, parts))
+        return ",".join(map(str, parts))
 
 
 def format_parts(parts: tuple[int, ...]) -> str:
@@ -260,8 +259,3 @@ def parse_parts(text: str) -> tuple[int, ...]:
     if any(p < 0 for p in parts):
         raise ValueError(f"negative entries in state text: {text!r}")
     return parts
-
-
-def parts_to_json(parts: tuple[int, ...]) -> dict:
-    """Canonical JSON object for a partition or composition."""
-    return {"parts": list(parts), "n": sum(parts)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator
@@ -165,17 +165,6 @@ class ChainConfig:
         if not is_partition(self.initial) or sum(self.initial) != self.n:
             raise ValueError(f"initial must be a partition of {self.n}: {self.initial}")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "variant": self.variant,
-            "p": self.p,
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-            "samples": self.samples,
-            "initial": list(self.initial),
-        }
-
 
 @dataclass(frozen=True)
 class ChainStats:
@@ -191,7 +180,7 @@ class ChainStats:
     def json_chunks(self) -> Iterator[str]:
         """The text of to_json(), a piece at a time."""
         head = {
-            "config": self.config.to_jsonable(),
+            "config": asdict(self.config),
             "rng_algorithm": self.rng_algorithm,
             "mean_shape": list(self.mean_shape),
             "mean_staircase_distance": self.mean_staircase_distance,

@@ -23,7 +23,7 @@ from bsol.partitions import (
     triangular_decompose,
 )
 from bsol.cli import DEFAULT_STATE_LIMIT, _check_space, main, parse_state, render_young
-from bsol.dynamics import _CHUNK, _knuth_check, get_variant
+from bsol.dynamics import _CHUNK, _knuth_check, get_variant, state_to_jsonable
 
 
 def run_cli(capsys, *argv):
@@ -72,9 +72,9 @@ def test_parse_format_round_trip():
 
 
 def test_state_json_round_trip():
-    data = json.loads(json.dumps(AustrianState((3, 1), 2, 3).to_jsonable()))
+    data = json.loads(json.dumps(state_to_jsonable(AustrianState((3, 1), 2, 3))))
     assert data == {"piles": [3, 1], "bank": 2, "L": 3}
-    data = json.loads(json.dumps(PointerState((2, 0, 1), 3).to_jsonable()))
+    data = json.loads(json.dumps(state_to_jsonable(PointerState((2, 0, 1), 3))))
     assert data == {"piles": [2, 0, 1], "pointer": 3}
 
 
@@ -495,6 +495,23 @@ def test_cli_toom_guard_lets_the_bound_itself_through(capsys, monkeypatch):
     assert (code, walked) == (0, [bsol.cli.TOOM_K_BOUND])
 
 
+def test_cli_toom_counts_its_path_against_the_state_limit(capsys, monkeypatch):
+    # the path from tau to the staircase holds k(k-1) = 20 states at k = 5
+    monkeypatch.setenv("BSOL_MAX_STATES", "19")
+    assert run_cli(capsys, "toom", "--k", "5") == (
+        3, "", "error: toom at k=5 walks 20 steps, over the limit 19\n")
+    monkeypatch.setenv("BSOL_MAX_STATES", "20")
+    code, out, err = run_cli(capsys, "toom", "--k", "5")
+    assert (code, err) == (0, "")
+    assert out == ("k=5: tau = 4,4,3,2,1,1\nsteps to staircase: 20 (expected 20)\n"
+                   "conjugacy symmetry: holds\n")
+    # a k below 2 is a usage error at any limit
+    for limit in ("0", "20"):
+        monkeypatch.setenv("BSOL_MAX_STATES", limit)
+        for k in ("-3", "1"):
+            assert run_cli(capsys, "toom", "--k", k)[0] == 2
+
+
 @pytest.mark.parametrize("k", [bsol.cli.TOOM_K_BOUND + 1, 300, 3000, 10**12])
 def test_cli_toom_guard_refuses_large_k_at_once(capsys, monkeypatch, k):
     # the walk costs about k^4, so a state count cannot bound it
@@ -790,7 +807,7 @@ class CountingSink(io.TextIOBase):
 
 
 # the commands whose every run visits a state
-LIMITED = ("orbit", "graph", "ge", "knuth", "simulate")
+LIMITED = ("orbit", "graph", "ge", "knuth", "toom", "simulate")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

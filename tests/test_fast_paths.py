@@ -27,6 +27,7 @@ import json
 import random
 import time
 from collections import Counter
+from dataclasses import asdict
 from itertools import combinations, product, repeat, zip_longest
 from math import comb, inf
 
@@ -238,7 +239,7 @@ def graph_dot_oracle(g):
 
 def chain_json_oracle(stats):
     data = {
-        "config": stats.config.to_jsonable(),
+        "config": asdict(stats.config),
         "rng_algorithm": stats.rng_algorithm,
         "mean_shape": list(stats.mean_shape),
         "mean_staircase_distance": stats.mean_staircase_distance,
@@ -832,6 +833,15 @@ def test_state_writer_matches_json_dumps_for_every_state_kind():
         expected = json.dumps([state_to_jsonable(s) for s in cycle], separators=(",", ":"))
         assert _cycle_json(cycle) == expected
     assert len(expected) > _CHUNK
+
+
+def test_state_writer_pins_the_record_bytes():
+    # a record's keys come in the order of its fields, with no whitespace
+    assert _state_json(AustrianState((3, 1), 2, 4)) == '{"piles":[3,1],"bank":2,"L":4}'
+    assert _state_json(PointerState((0, 2, 1), 2)) == '{"piles":[0,2,1],"pointer":2}'
+    assert _state_json(MultiplayerState(((2, 1), (3,)))) == '{"players":[[2,1],[3]]}'
+    assert _state_json(AustrianState((), 0, 1)) == '{"piles":[],"bank":0,"L":1}'
+    assert _state_json((4, 0, 2)) == '{"parts":[4,0,2],"n":6}'
 
 
 @pytest.mark.parametrize("variant, n, samples", [
