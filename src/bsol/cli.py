@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from itertools import islice
-from math import comb
 
 from . import dynamics  # default_step_bound is read at call time, as tail_cycle reads it
 from .dynamics import (
@@ -128,7 +127,8 @@ def _within_limit(size: int, what: str) -> int:
     return limit
 
 
-def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
+def _check_space(variant: str, n: int, L: int | None) -> int:
+    limit = _state_limit()
     if n < 0:
         raise ValueError(f"--n must be nonnegative, got {n}")
     if variant in ("carolina", "montreal") and n - 1 >= limit.bit_length():
@@ -148,10 +148,7 @@ def _check_space(variant: str, n: int, L: int | None, limit: int) -> None:
         size = total(n, L)
     except ValueError as exc:
         raise EnumerationBoundError(str(exc)) from None
-    if size > limit:
-        raise EnumerationBoundError(
-            f"state space of {variant} at n={n} has {size} states, over the limit {limit}"
-        )
+    return _within_limit(size, f"state space of {variant} at n={n} has {size} states")
 
 
 # --- commands ---
@@ -201,8 +198,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_graph(args) -> int:
     # only the austrian variant reads --L; a missing or bad one is a usage error, before sizing
     get_variant(args.variant, L=args.L)
-    limit = _state_limit()
-    _check_space(args.variant, args.n, args.L, limit)
+    limit = _check_space(args.variant, args.n, args.L)
     # the seeds are sized above; montreal cycles leave them, so the states
     # on those cycles count against the limit too, before anything is printed
     summary = analyze_state_space(args.n, args.variant, L=args.L, limit=limit)
@@ -223,7 +219,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_ge(args) -> int:
-    _check_space("bulgarian", args.n, None, _state_limit())
+    _check_space("bulgarian", args.n, None)
     ge = (
         lam
         for lam in enumerate_partitions(args.n)
@@ -247,9 +243,8 @@ def _cmd_necklaces(args) -> int:
     count = necklace_count(args.n)
     necklaces = None
     if args.list:
-        # each of the C(k, r) bead placements is read in its k rotations
-        _within_limit(comb(k, r) * k, f"listing necklaces reads {comb(k, r)} bead "
-                                      f"placements in {k} rotations each")
+        # each necklace writes its k beads and stands for a cycle of up to k states
+        _within_limit(count * k, f"listing {count} necklaces writes {count * k} beads")
         necklaces = list_necklaces(k, r)
     if args.format == "json":
         data = {"n": args.n, "k": k, "r": r, "count": count}
@@ -268,7 +263,7 @@ def _cmd_necklaces(args) -> int:
 
 def _cmd_knuth(args) -> int:
     n = args.k * (args.k + 1) // 2
-    _check_space("bulgarian", n, None, _state_limit())
+    _check_space("bulgarian", n, None)
     report = knuth_exponent_check(args.k)
     verdict = "holds" if report.holds else "FAILS"
     print(

@@ -12,7 +12,6 @@ correspond to necklaces with r black and k - r white beads, counted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 
 from .partitions import Partition, triangular_decompose
@@ -48,9 +47,9 @@ def necklace_count(n: int) -> int:
     return total // k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Necklace:
-    """Cyclic binary string; black beads are True.  Equal up to rotation."""
+    """Cyclic binary string; black beads are True."""
 
     beads: tuple[bool, ...]
 
@@ -62,46 +61,49 @@ class Necklace:
     def k(self) -> int:
         return len(self.beads)
 
-    @property
-    def r(self) -> int:
-        return sum(self.beads)
-
-    def canonical_beads(self) -> tuple[bool, ...]:
-        # max over bool tuples = lexicographically smallest B/W string
-        return max(self.beads[s:] + self.beads[:s] for s in range(self.k))
-
-    def rotated(self, steps: int = 1) -> "Necklace":
+    def rotated(self) -> "Necklace":
         """Rotate one place rightward: bead i moves to position i + 1."""
-        s = -steps % self.k
-        return Necklace(self.beads[s:] + self.beads[:s])
+        return Necklace(self.beads[-1:] + self.beads[:-1])
 
     def period(self) -> int:
-        for p in range(1, self.k + 1):
-            if self.k % p == 0 and self.rotated(p).beads == self.beads:
-                return p
-        raise AssertionError("unreachable")
+        k = self.k
+        return next(p for p in range(1, k + 1) if k % p == 0 and self.beads[p:] == self.beads[:k - p])
 
     def __str__(self) -> str:
-        return "".join("B" if b else "W" for b in self.canonical_beads())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Necklace):
-            return NotImplemented
-        return self.canonical_beads() == other.canonical_beads()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_beads())
+        return "".join("B" if b else "W" for b in self.beads)
 
 
 def list_necklaces(k: int, r: int) -> list[Necklace]:
-    """Canonical representatives of all necklaces with r black beads of k."""
+    """Each necklace of r black beads in k, once, as its largest rotation, in
+    descending order: the FKM algorithm (Ruskey, Savage and Wang, "Generating
+    necklaces", J. Algorithms 1992) with black the smaller symbol, run depth
+    first on a stack, as k reaches the thousands.  A branch stops once it has
+    too many beads of a colour, or too few whites left to end each run of the
+    blacks left: the opening run of blacks is the longest, and every later
+    run, as the string, ends white."""
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}, k={k}")
-    classes = set()
-    for black in combinations(range(k), r):
-        beads = tuple(i in black for i in range(k))
-        classes.add(Necklace(beads).canonical_beads())
-    return [Necklace(b) for b in sorted(classes, reverse=True)]
+    beads = [True] * (k + 1)  # beads[0] is FKM's a[0], the smaller symbol
+    necklaces = []
+    # (t, p, bead t, blacks before t, the opening run of blacks, k until a white ends it)
+    stack = [(1, 1, False, 0, k), (1, 1, True, 0, k)]
+    while stack:
+        t, p, bead, blacks, run = stack.pop()
+        beads[t] = bead
+        blacks += bead
+        run = run if bead else min(run, t - 1)
+        whites_left = k - r - t + blacks  # only a white can make the bound fail
+        if blacks > r or whites_left < 0 or not bead and whites_left * run < r - blacks:
+            continue
+        if t == k:
+            if k % p == 0:
+                necklaces.append(Necklace(tuple(beads[1:])))
+            continue
+        copy = beads[t + 1 - p]
+        if copy:  # a black may also give way to a white, which starts a new period
+            stack.append((t + 1, t + 1, False, blacks, run))
+        stack.append((t + 1, p, copy, blacks, run))
+    return necklaces
 
 
 def necklace_state(necklace: Necklace) -> Partition:

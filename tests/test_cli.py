@@ -434,32 +434,50 @@ def test_cli_necklaces_prints_the_largest_count_under_the_guard(capsys):
     assert 4250 < len(out.strip()) - len(head) <= 4300
 
 
-def test_cli_necklaces_list_reads_each_rotation_under_the_guard(capsys):
-    # k = 19, r = 9: C(19, 9) = 92,378 placements in 19 rotations each,
-    # 1,755,182 reads under the default limit
+def test_cli_necklaces_list_under_the_guard(capsys):
+    # k = 19, r = 9: 4,862 necklaces of 19 beads, 92,378 beads written
     code, out, _ = run_cli(capsys, "necklaces", "--n", "180", "--list")
     head, *rows = out.splitlines()
     assert code == 0 and head == "n=180: k=19, r=9, components=4862"
     assert len(rows) == 4862 and rows[0].startswith("BBBBBBBBBW")
 
 
-@pytest.mark.parametrize("n", [198, 264])
-def test_cli_necklaces_list_guard_counts_the_rotations(capsys, monkeypatch, n):
-    # n = 198: k = 20, r = 8, C(20, 8) = 125,970 placements, under the limit
-    # alone, but 2,519,400 reads with their 20 rotations; n = 264 (k = 23,
-    # r = 11) once listed for over 20 seconds under the default limit
-    k, r = triangular_decompose(n)
-    assert comb(k, r) <= DEFAULT_STATE_LIMIT < comb(k, r) * k
-
+def test_cli_necklaces_list_guard_counts_the_beads_written(capsys, monkeypatch):
+    # n = 287: k = 24, r = 11, 104,006 necklaces of 24 beads, 2,496,144 in all
     def listed(*args):
         raise AssertionError("the guard let the listing start")
 
     monkeypatch.setattr(bsol.cli, "list_necklaces", listed)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "necklaces", "--n", str(n), "--list")
+    code, out, err = run_cli(capsys, "necklaces", "--n", "287", "--list")
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: listing 104006 necklaces writes 2496144 beads, " \
+                  f"over the limit {DEFAULT_STATE_LIMIT}\n"
+
+
+@pytest.mark.parametrize("n, count", [(264, 58786), (286, 81752)])
+def test_cli_necklaces_list_guard_admits_what_it_writes(capsys, n, count):
+    # n = 264 (k = 23, r = 11) writes 1,352,078 beads and n = 286 (k = 24,
+    # r = 10) 1,962,048, both under the default limit
+    k, r = triangular_decompose(n)
+    assert count * k <= DEFAULT_STATE_LIMIT
+    code, out, err = run_cli(capsys, "necklaces", "--n", str(n), "--list")
+    head, *rows = out.splitlines()
+    assert (code, err, head) == (0, "", f"n={n}: k={k}, r={r}, components={count}")
+    assert len(rows) == count and len(set(rows)) == count
+
+
+# n = 998992: k = 1,414, r = 1, which the rotation filter took 23 to 32 s to
+# list; n = 102023469: k = 14,284, r = k - 1, where no recursion limit binds
+@pytest.mark.parametrize("n", [998992, 102023469])
+def test_cli_necklaces_list_one_long_necklace_at_once(capsys, n):
+    k, r = triangular_decompose(n)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "necklaces", "--n", str(n), "--list")
+    assert time.perf_counter() - start < 5
+    head, *rows = out.splitlines()
+    assert (code, err, rows) == (0, "", ["B" * r + "W" * (k - r) + f"  period={k}"])
 
 
 # --- knuth / toom commands ---
@@ -722,9 +740,9 @@ def test_montreal_size_is_the_closed_form_of_the_stratum_sum():
 def test_cli_guard_sizes_a_huge_lifetime_at_once():
     start = time.perf_counter()
     assert _total("austrian", 12, 10**12) == _total("austrian", 12, 13)
-    _check_space("austrian", 40, 10**12, DEFAULT_STATE_LIMIT)
+    _check_space("austrian", 40, 10**12)
     with pytest.raises(EnumerationBoundError, match="2\\^21 states"):
-        _check_space("carolina", 22, None, DEFAULT_STATE_LIMIT)
+        _check_space("carolina", 22, None)
     assert time.perf_counter() - start < 1
 
 

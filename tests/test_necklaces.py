@@ -22,13 +22,18 @@ def phi_oracle(d):
     return sum(1 for a in range(1, d + 1) if gcd(a, d) == 1)
 
 
-def necklace_count_oracle(k, r):
-    """Count binary strings of length k with r ones, up to rotation."""
+def list_necklaces_oracle(k, r):
+    """Each of the C(k, r) bead placements read in its k rotations, the
+    largest kept: the classes of necklaces, largest first."""
     classes = set()
-    for ones in combinations(range(k), r):
-        bits = tuple(1 if i in ones else 0 for i in range(k))
-        classes.add(min(bits[s:] + bits[:s] for s in range(k)))
-    return len(classes)
+    for black in combinations(range(k), r):
+        beads = tuple(i in black for i in range(k))
+        classes.add(max(beads[s:] + beads[:s] for s in range(k)))
+    return sorted(classes, reverse=True)
+
+
+def necklace_count_oracle(k, r):
+    return len(list_necklaces_oracle(k, r))
 
 
 # --- Euler phi ---
@@ -80,26 +85,38 @@ def test_necklace_canonical_and_period():
     neck = Necklace((True, False, True, False, False))
     assert str(neck) == "BWBWW"
     assert neck.k == 5
-    assert neck.r == 2
     assert neck.period() == 5
     assert Necklace((True, False, True, False)).period() == 2
     assert Necklace((True, True, True)).period() == 1
 
 
-def test_necklace_equality_is_rotation_class():
+def test_necklace_rotates_one_place_rightward():
     a = Necklace((True, False, False))
-    b = Necklace((False, True, False))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != Necklace((True, True, False))
-    assert a.rotated() == a
     assert a.rotated().beads == (False, True, False)
+    assert a.rotated() != a  # equal beads, not equal up to rotation
+    assert a.rotated().rotated().rotated() == a
+    assert str(a.rotated()) == "WBW"  # the beads as held
 
 
 def test_list_necklaces():
     reps = list_necklaces(4, 2)
     assert [str(x) for x in reps] == ["BBWW", "BWBW"]
     assert sum(1 for _ in list_necklaces(6, 3)) == necklace_count_oracle(6, 3)
+
+
+def test_list_necklaces_matches_the_rotation_filter():
+    for k in range(1, 17):
+        for r in range(k + 1):
+            assert [x.beads for x in list_necklaces(k, r)] == list_necklaces_oracle(k, r), (k, r)
+
+
+def test_list_necklaces_gives_each_class_once_as_its_largest_rotation():
+    for k in range(1, 61):
+        for r in {r for r in (0, 1, 2, 3, k - 3, k - 2, k - 1, k) if 0 <= r <= k}:
+            beads = [x.beads for x in list_necklaces(k, r)]
+            assert all(a > b for a, b in zip(beads, beads[1:])), (k, r)
+            assert all(b == max(b[s:] + b[:s] for s in range(k)) for b in beads), (k, r)
+            assert len(beads) == (necklace_count((k - 1) * k // 2 + r) if r else 1), (k, r)
 
 
 # --- reading a necklace off a minimal-energy state ---
