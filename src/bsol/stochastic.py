@@ -12,11 +12,13 @@ Identical configs (including the seed) give bit-identical results.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .dynamics import json_with_bulk
 # the per-move reference; bench/tracing.py looks these names up here
@@ -95,18 +97,27 @@ def _popov_moves(rng: np.random.Generator, state: Partition, p: float,
         yield state
 
 
+# piles above which one rng.binomial call over the state costs less than a
+# call per pile: the two cross between 14 and 16 piles
+_WIDE = 15
+
+
 def _ejs_moves(rng: np.random.Generator, state: Partition, p: float,
                moves: int) -> Iterator[Partition]:
     """The state after each of moves card-selection moves.
 
     The same states as ejs_masked_step(state, sample_ejs_picks(rng, state,
     p)) per move: rng.binomial draws the same variates a pile at a time as
-    over all piles at once.  Blocking them would change the stream, since
-    a variate takes a variable number of draws.
+    over all piles at once, so a wide state takes one call and a narrow
+    one a call per pile.  Blocking them across moves would change the
+    stream, since a variate takes a variable number of draws.
     """
     binomial = rng.binomial
     for _ in range(moves):
-        picks = list(map(binomial, state, repeat(p)))
+        if len(state) > _WIDE:
+            picks = binomial(state, p).tolist()
+        else:
+            picks = list(map(binomial, state, repeat(p)))
         taken = sum(picks)
         if taken:
             state = _settle(list(map(sub, state, picks)), taken)
@@ -166,12 +177,52 @@ class ChainConfig:
             raise ValueError(f"initial must be a partition of {self.n}: {self.initial}")
 
 
+def _codec(n: int) -> tuple[int, Callable[[Partition], bytes], Callable[[bytes], Partition]]:
+    """Bytes per part of a packed partition of n, and its pack and unpack.
+
+    A packed state is its parts as big-endian unsigned integers of one
+    width, the fewest of 1, 2, 4 and 8 bytes that hold n, so packed states
+    sort as the partitions do: the first byte that differs lies in the
+    first part that differs, most significant first, and a prefix comes
+    first.  At one byte a part, bytes(lam) packs in C.
+    """
+    if n < 1 << 8:
+        return 1, bytes, tuple
+    width, code = (2, "H") if n < 1 << 16 else (4, "I") if n < 1 << 32 else (8, "Q")
+    return (width, lambda lam: struct.pack(f">{len(lam)}{code}", *lam),
+            lambda key: struct.unpack(f">{len(key) // width}{code}", key))
+
+
+class VisitCounts(Mapping):
+    """The visits of a chain's states in order of first visit, held by
+    packed state (see _codec) and read as partitions."""
+
+    def __init__(self, n: int, states: Iterable[Partition]):
+        _, self.pack, self.unpack = _codec(n)
+        self.packed = Counter(map(self.pack, states))
+
+    def __getitem__(self, lam):
+        try:  # a Counter reads 0 for a missing key, so ask first
+            key = self.pack(lam)
+            if key in self.packed:
+                return self.packed[key]
+        except (TypeError, ValueError, struct.error):  # not a partition of n
+            pass
+        raise KeyError(lam)
+
+    def __iter__(self) -> Iterator[Partition]:
+        return map(self.unpack, self.packed)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+
 @dataclass(frozen=True)
 class ChainStats:
     """Summary of the recorded phase of one chain."""
 
     config: ChainConfig
-    visit_counts: dict[Partition, int]
+    visit_counts: VisitCounts
     mean_shape: tuple[float, ...]
     mean_staircase_distance: float
     mean_energy: float
@@ -186,11 +237,12 @@ class ChainStats:
             "mean_staircase_distance": self.mean_staircase_distance,
             "mean_energy": self.mean_energy,
         }
-        # the states are distinct, so sorting them alone orders the items;
-        # a key is digits and commas, so it needs no escaping
-        visits = self.visit_counts
+        # the packed states are distinct and sort as the partitions do, so
+        # sorting them alone orders the items; a key is digits and commas,
+        # so it needs no escaping
+        packed, unpack = self.visit_counts.packed, self.visit_counts.unpack
         counts = (
-            f'"{format_parts(lam)}":{visits[lam]}' for lam in sorted(visits, reverse=True)
+            f'"{format_parts(unpack(key))}":{packed[key]}' for key in sorted(packed, reverse=True)
         )
         return json_with_bulk(head, ("visit_counts", "{}", counts))
 
@@ -214,32 +266,33 @@ def run_chain(config: ChainConfig) -> ChainStats:
     rng = make_rng(config.seed)
     states = moves(rng, config.initial, config.p, config.burn_in + config.samples)
     deque(islice(states, config.burn_in), maxlen=0)
-    counts = Counter(states)  # in order of first visit, as the sums below read it
+    visits = VisitCounts(config.n, states)  # in order of first visit, as the sums read it
 
     samples = config.samples
     if samples == 0:
-        return ChainStats(config, {}, (), 0.0, 0.0)
-    shape_sum, dist_sum, energy_sum = _chain_sums(counts, config.n, samples)
+        return ChainStats(config, visits, (), 0.0, 0.0)
+    shape_sum, dist_sum, energy_sum = _chain_sums(visits.packed, config.n, samples)
     return ChainStats(
         config=config,
-        visit_counts=counts,
+        visit_counts=visits,
         mean_shape=tuple(v / samples for v in shape_sum),
         mean_staircase_distance=dist_sum / samples,
         mean_energy=energy_sum / samples,
     )
 
 
-# parts per numpy block of the chain statistics: a block takes whole states
-# until it holds this many parts, so its arrays stay small however long the
-# states or the chain
+# bytes per numpy block of the chain statistics: a block takes whole states
+# until it holds this many packed bytes, so its arrays stay small however
+# long the states or the chain
 _STAT_BLOCK = 1 << 12
 
 
-def _chain_sums(counts: dict[Partition, int], n: int,
+def _chain_sums(packed: dict[bytes, int], n: int,
                 samples: int) -> tuple[list[float], float, float]:
     """The count-weighted float sums of the parts index by index, of the
-    staircase distance and of the energy over the distinct states of a
-    chain of samples visits, each added in the order of counts.
+    staircase distance and of the energy over the distinct packed states
+    of n (see _codec) of a chain of samples visits, each added in the
+    order of packed.
 
     n(n+3)/2 is the largest energy of a partition of n, so below
     samples * n(n+3)/2 < 2**53 every shape and energy term and partial sum
@@ -249,10 +302,12 @@ def _chain_sums(counts: dict[Partition, int], n: int,
     block to block in visit order.  Past the bound the order of the float
     additions shows in their last bits, so each state is read in turn.
     """
+    width, _, unpack = _codec(n)
     if samples * n * (n + 3) // 2 >= 2**53:
-        shape_sum = [0.0] * max(map(len, counts))
+        shape_sum = [0.0] * (max(map(len, packed)) // width)
         dist_sum = energy_sum = 0.0
-        for lam, count in counts.items():
+        for key, count in packed.items():
+            lam = unpack(key)
             shape_sum[:len(lam)] = map(add, shape_sum, map(mul, lam, repeat(count)))
             dist_sum += staircase_distance(lam) * count
             energy_sum += potential_energy(lam) * count
@@ -261,22 +316,22 @@ def _chain_sums(counts: dict[Partition, int], n: int,
 
     k = triangular_decompose(n)[0]
     shape_sum, dist_sum, energy_sum = np.zeros(0), 0.0, 0
-    items = iter(counts.items())
+    items = iter(packed.items())
     while True:
-        lams, visits, size = [], [], 0
-        for lam, count in items:
-            lams.append(lam)
+        keys, visits, size = [], [], 0
+        for key, count in items:
+            keys.append(key)
             visits.append(count)
-            size += len(lam)
+            size += len(key)
             if size >= _STAT_BLOCK:
                 break
-        if not lams:
+        if not keys:
             return shape_sum.tolist(), dist_sum, float(energy_sum)
-        lens = np.fromiter(map(len, lams), np.int64, len(lams))
-        parts = np.fromiter(chain.from_iterable(lams), np.int64, size)
+        lens = np.fromiter(map(len, keys), np.int64, len(keys)) // width
+        parts = np.frombuffer(b"".join(keys), f">u{width}").astype(np.int64)
         reps = np.array(visits, np.int64)
         starts = np.cumsum(lens) - lens
-        col = np.arange(size) - np.repeat(starts, lens)  # 0-based pile index
+        col = np.arange(len(parts)) - np.repeat(starts, lens)  # 0-based pile index
         # bincount adds in float64, exact for these integers
         block = np.bincount(col, parts * np.repeat(reps, lens), minlength=len(shape_sum))
         block[:len(shape_sum)] += shape_sum

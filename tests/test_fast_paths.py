@@ -18,7 +18,8 @@ the dual walk with the Bulgarian summary conjugated, the mirror it
 replaced, and the Montreal cycle leaders with the visited set they
 replaced.  A chain draws and moves in one loop per variant; it is compared
 with the per-move samplers and masked steps, and its means, from one block
-pass below 2**53 and state by state past it, with the per-part loop.  The
+pass below 2**53 and state by state past it, with the per-part loop; its
+packed tally is compared with the tuple Counter it replaced.  The
 exhaustive commands' stdout is pinned by SHA-256.
 """
 
@@ -107,8 +108,10 @@ from bsol.partitions import (
 )
 from bsol.stochastic import (
     _STAT_BLOCK,
+    _WIDE,
     ChainConfig,
     _chain_sums,
+    _codec,
     _ejs_moves,
     _popov_moves,
     make_rng,
@@ -1271,9 +1274,29 @@ def test_chain_loop_matches_per_move_branching_loop(variant, burn_in, samples, n
     assert means == chain_means_oracle(counts, samples)
 
 
+@pytest.mark.parametrize("initial, p, moves, sides", [
+    # 25 cards at p = 0.1 hold from 10 to 20-odd piles: about half the
+    # moves on each side of _WIDE
+    pytest.param((1,) * 25, 0.1, 400, {False, True}, id="across"),
+    pytest.param((1,) * 60000, 0.001, 40, {True}, id="wide"),
+])
+def test_ejs_moves_match_the_per_move_sampler_on_both_sides_of_the_wide_switch(
+        initial, p, moves, sides):
+    # the loop draws a state wider than _WIDE piles in one rng.binomial call
+    # and a narrower one a pile at a time, the sampler always in one call
+    config = ChainConfig(sum(initial), "ejs", p, seed=moves, burn_in=0, samples=moves,
+                         initial=initial)
+    counts, path = chain_tally_oracle(config)
+    assert {len(lam) > _WIDE for lam in path[:-1]} == sides
+    assert (initial, *_ejs_moves(make_rng(config.seed), initial, p, moves)) == path
+    assert dict(run_chain(config).visit_counts.items()) == counts
+
+
 def chain_sum_means(counts, n):
     samples = sum(counts.values())
-    shape_sum, dist_sum, energy_sum = _chain_sums(counts, n, samples)
+    pack = _codec(n)[1]
+    packed = {pack(lam): count for lam, count in counts.items()}
+    shape_sum, dist_sum, energy_sum = _chain_sums(packed, n, samples)
     return tuple(v / samples for v in shape_sum), dist_sum / samples, energy_sum / samples
 
 
@@ -1328,6 +1351,64 @@ def test_chain_sums_give_the_loop_bytes_on_both_sides_of_2_53(monkeypatch):
     # order shows: the exact sum gives another mean
     exact = sum(potential_energy(lam) * count for lam, count in counts.items())
     assert exact / samples != chain_means_oracle(counts, samples)[2]
+
+
+@pytest.mark.parametrize("n, width", [(255, 1), (256, 2), (65535, 2), (65536, 4),
+                                      (2**63 - 1, 8)])
+def test_packed_states_sort_as_partitions_and_unpack_to_them(n, width):
+    rng = random.Random(n)
+    edges = [part for part in (1, 2, 255, 256, 65535, 65536, 2**32 - 1, 2**32, n - 1, n)
+             if part <= n]
+    lams = {()}
+    for _ in range(2000):
+        parts = [rng.choice(edges) if rng.random() < 0.5 else rng.randint(1, n)
+                 for _ in range(rng.randrange(7))]
+        lam = tuple(sorted(parts, reverse=True))
+        lams.update(lam[:cut] for cut in range(len(lam) + 1))  # every prefix too
+    got_width, pack, unpack = _codec(n)
+    assert got_width == width
+    keys = {pack(lam): lam for lam in lams}
+    assert all(len(key) == width * len(lam) for key, lam in keys.items())
+    assert [keys[key] for key in sorted(keys)] == sorted(lams)
+    assert all(unpack(key) == lam for key, lam in keys.items())
+
+
+def chain_means_by_state(counts, samples):
+    """The means of the per-state loop over a tuple Counter, adding in visit
+    order with the closed-form distance and energy, which cost a state's
+    parts where the oracles above cost its cards."""
+    shape_sum = [0.0] * max(map(len, counts))
+    dist_sum = energy_sum = 0.0
+    for lam, count in counts.items():
+        for i, part in enumerate(lam):
+            shape_sum[i] += part * count
+        dist_sum += staircase_distance(lam) * count
+        energy_sum += potential_energy(lam) * count
+    return tuple(v / samples for v in shape_sum), dist_sum / samples, energy_sum / samples
+
+
+# samples * n(n+3)/2 first reaches 2**53 at 41 samples of 21,000,000
+@pytest.mark.parametrize("variant", ["popov", "ejs"])
+@pytest.mark.parametrize("n, p, samples", [
+    (256, 0.5, 3000), (300, 0.2, 3000), (65535, 0.5, 300), (70000, 0.01, 300),
+    (21_000_000, 0.5, 40), (21_000_000, 0.5, 41), (5_000_000_000, 0.5, 40),
+    (2**63 - 1, 0.3, 40),
+])
+def test_packed_chain_matches_the_tuple_counter(variant, n, p, samples):
+    config = ChainConfig(n, variant, p, seed=n % 1000, burn_in=20, samples=samples)
+    counts, _ = chain_tally_oracle(config)
+    stats = run_chain(config)
+    visits = stats.visit_counts
+    assert list(visits.items()) == list(counts.items())  # in order of first visit
+    assert len(visits) == len(counts) and visits == counts
+    assert all(visits[lam] == count for lam, count in counts.items())
+    assert (n + 1,) not in visits and (0,) not in visits and "1" not in visits
+    means = (stats.mean_shape, stats.mean_staircase_distance, stats.mean_energy)
+    assert means == chain_means_by_state(counts, samples)
+    assert stats.to_json() == json.dumps(
+        {**json.loads(stats.to_json()),
+         "visit_counts": {format_parts(lam): counts[lam] for lam in sorted(counts, reverse=True)}},
+        separators=(",", ":"))
 
 
 @settings(max_examples=100, deadline=None)
