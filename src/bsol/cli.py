@@ -24,7 +24,8 @@ from .dynamics import (
     _json_array,
     _state_json,
     analyze_state_space,
-    garden_of_eden_test,
+    garden_of_eden_test,  # unused here since ge lists texts; bench/tracing.py wraps it by name
+    garden_of_eden_texts,
     get_variant,
     knuth_exponent_check,
     state_label,
@@ -39,9 +40,8 @@ from .operators import AustrianState, PointerState
 from .partitions import (
     EnumerationBoundError,
     Partition,
-    enumerate_partitions,
+    enumerate_partitions,  # unused here, as garden_of_eden_test above
     format_parts,
-    join_parts,
     normalize,
     parse_parts,
     triangular_decompose,
@@ -220,16 +220,12 @@ def _cmd_graph(args) -> int:
 
 def _cmd_ge(args) -> int:
     _check_space("bulgarian", args.n, None)
-    ge = (
-        lam
-        for lam in enumerate_partitions(args.n)
-        if lam and garden_of_eden_test(lam)
-    )
-    if args.format == "json":  # json.dumps([list(lam) for lam in ge], separators=_COMPACT)
-        sys.stdout.writelines(_json_array(f"[{join_parts(lam)}]" for lam in ge))
+    ge = garden_of_eden_texts(args.n)
+    if args.format == "json":  # json.dumps of each partition as a list, separators=_COMPACT
+        sys.stdout.writelines(_json_array(f"[{text}]" for text in ge))
         print()
     else:
-        sys.stdout.writelines(map("".join, _batches(format_parts(lam) + "\n" for lam in ge)))
+        sys.stdout.writelines(map("".join, _batches(text + "\n" for text in ge)))
     return 0
 
 

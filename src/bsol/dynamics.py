@@ -670,6 +670,39 @@ def garden_of_eden_test(lam: Partition) -> bool:
     return lam[0] < len(lam) - 1
 
 
+def garden_of_eden_texts(n: int) -> Iterator[str]:
+    """format_parts of each Garden of Eden partition of n, in the order of
+    enumerate_partitions, by its ZS1 again but with no tuple per partition:
+    pre[i], the text of x[0..i], is rewritten only where a step writes x,
+    and a partition's text is pre[h] and its m - 1 - h trailing 1s."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n)]
+    x, pre = [n] + [1] * (n - 1), [str(n)] + [""] * (n - 1)
+    m, h = 1, 0  # (n) has a predecessor, as has every partition of n < 3
+    while n > 2:
+        if x[h] == 2:  # 2 -> 1,1: the prefix before it is already written
+            if not h:  # 1^n, past which ZS1 stops
+                yield "1" + ones[n - 1]
+                return
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r, t = x[h] - 1, m - h
+            x[h] = r
+            pre[h] = text = pre[h - 1] + sep[r] if h else str(r)
+            while t >= r:
+                h, t, text = h + 1, t - r, text + sep[r]
+                x[h], pre[h] = r, text
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h], pre[h] = t, text + sep[t]
+        if x[0] < m - 1:
+            yield pre[h] + ones[m - 1 - h]
+
+
 # --- classical-results reports ---
 
 @dataclass(frozen=True)

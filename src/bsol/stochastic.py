@@ -239,11 +239,11 @@ class ChainStats:
         }
         # the packed states are distinct and sort as the partitions do, so
         # sorting them alone orders the items; a key is digits and commas,
-        # so it needs no escaping
+        # so it needs no escaping; format_parts reads a one-byte-a-part key
+        # as its ints, and a wider one unpacks first
         packed, unpack = self.visit_counts.packed, self.visit_counts.unpack
-        counts = (
-            f'"{format_parts(unpack(key))}":{packed[key]}' for key in sorted(packed, reverse=True)
-        )
+        text = format_parts if unpack is tuple else lambda key: format_parts(unpack(key))
+        counts = (f'"{text(key)}":{packed[key]}' for key in sorted(packed, reverse=True))
         return json_with_bulk(head, ("visit_counts", "{}", counts))
 
     def to_json(self) -> str:

@@ -391,14 +391,18 @@ def test_cli_ge(capsys):
     expected = [lam for lam in enumerate_partitions(10) if lam[0] < len(lam) - 1]
     assert len(lines) == len(expected)
     assert "2,2,2,2,2" in lines
-    for n in ("1", "2"):  # no Garden of Eden state below n = 3
+    for n in ("0", "1", "2"):  # no Garden of Eden state below n = 3
         assert run_cli(capsys, "ge", "--n", n)[:2] == (0, "")
-    # the JSON list reads as json.dumps writes it, [] below n = 3, and at
-    # n = 30 it crosses the writer's chunks
-    for n in [*range(12), 30]:
-        ge = [list(lam) for lam in enumerate_partitions(n) if lam and lam[0] < len(lam) - 1]
+        assert run_cli(capsys, "ge", "--n", n, "--format", "json")[:2] == (0, "[]\n")
+    # the lines are the parts of the filtered tuples, and the JSON list reads
+    # as json.dumps writes it, [] below n = 3; from n = 25 on it crosses the
+    # writer's chunks
+    for n in range(31):
+        ge = [lam for lam in enumerate_partitions(n) if lam and lam[0] < len(lam) - 1]
+        code, out, _ = run_cli(capsys, "ge", "--n", str(n))
+        assert (code, out) == (0, "".join(",".join(map(str, lam)) + "\n" for lam in ge))
         code, out, _ = run_cli(capsys, "ge", "--n", str(n), "--format", "json")
-        assert (code, out) == (0, json.dumps(ge, separators=(",", ":")) + "\n")
+        assert (code, out) == (0, json.dumps(list(map(list, ge)), separators=(",", ":")) + "\n")
     assert len(out) > _CHUNK
 
 

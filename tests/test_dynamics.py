@@ -3,12 +3,13 @@ import json
 import pytest
 
 from bsol.cli import main
-from bsol.partitions import enumerate_partitions
+from bsol.partitions import enumerate_partitions, format_parts
 from bsol.operators import bulgarian_step, montreal_step
 from bsol.dynamics import (
     StepBoundError,
     analyze_state_space,
     garden_of_eden_test,
+    garden_of_eden_texts,
     ge_reachability_check,
     get_variant,
     knuth_exponent_check,
@@ -193,6 +194,17 @@ def test_garden_of_eden_matches_brute_force():
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
             assert garden_of_eden_test(lam) == (not brute_force_predecessors(lam))
+
+
+def test_garden_of_eden_texts_match_the_filter():
+    # the text listing runs its own copy of ZS1: the tuples and the test it
+    # replaces are its oracle, order and bytes included
+    for n in range(46):
+        expected = [format_parts(lam) for lam in enumerate_partitions(n)
+                    if lam and garden_of_eden_test(lam)]
+        assert list(garden_of_eden_texts(n)) == expected
+    with pytest.raises(ValueError):
+        next(garden_of_eden_texts(-1))
 
 
 # --- classical checks ---
