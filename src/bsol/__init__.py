@@ -6,10 +6,8 @@ from .partitions import (
     Partition,
     conjugate,
     enumerate_compositions,
-    enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
-    enumerate_partitions_ascending,
     normalize,
     potential_energy,
     staircase,

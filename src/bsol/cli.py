@@ -10,14 +10,12 @@ draws a diagram.  Exit codes: 0 success, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
 
 from . import dynamics  # default_step_bound is read at call time, as tail_cycle reads it
 from .dynamics import (
-    _COMPACT,
     StepBoundError,
     WalkError,
     _batches,
@@ -27,6 +25,7 @@ from .dynamics import (
     garden_of_eden_test,  # unused here since ge lists texts; bench/tracing.py wraps it by name
     garden_of_eden_texts,
     get_variant,
+    json_with_bulk,
     knuth_exponent_check,
     state_label,
     state_total,
@@ -242,13 +241,12 @@ def _cmd_necklaces(args) -> int:
         # each necklace writes its k beads and stands for a cycle of up to k states
         _within_limit(count * k, f"listing {count} necklaces writes {count * k} beads")
         necklaces = list_necklaces(k, r)
-    if args.format == "json":
-        data = {"n": args.n, "k": k, "r": r, "count": count}
-        if necklaces is not None:
-            data["necklaces"] = [
-                {"beads": str(x), "period": x.period()} for x in necklaces
-            ]
-        print(json.dumps(data, separators=_COMPACT))
+    if args.format == "json":  # json.dumps of a dict per necklace, separators=_COMPACT
+        head = {"n": args.n, "k": k, "r": r, "count": count}
+        bulk = [] if necklaces is None else [("necklaces", "[]", (
+            f'{{"beads":"{x}","period":{x.period()}}}' for x in necklaces))]
+        sys.stdout.writelines(json_with_bulk(head, *bulk))
+        print()
     else:
         print(f"n={args.n}: k={k}, r={r}, components={count}")
         if necklaces is not None:

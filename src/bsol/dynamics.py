@@ -37,11 +37,9 @@ from .partitions import (
     EnumerationBoundError,
     Partition,
     conjugate,
-    enumerate_compositions,  # unused here; bench/tracing.py wraps it by name
-    enumerate_compositions_ascending,
+    enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
-    enumerate_partitions_ascending,
     format_parts,
     join_parts,
     staircase,
@@ -256,7 +254,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             raise ValueError("the austrian variant requires the machine lifetime L")
         if L < 1:
             raise ValueError(f"machine lifetime must be positive, got {L}")
-    partitions = dict(states=lambda n, L: enumerate_partitions_ascending(n),
+    partitions = dict(states=lambda n, L: enumerate_partitions(n),
                       what="partitions of {n}")
     registry = {
         "bulgarian": Variant(
@@ -277,7 +275,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             "carolina", carolina_step, "strict",
             cycles=lambda n, L, limit: _cycles_through(_orderings(n), carolina_step),
             predecessors=_carolina_predecessors,
-            is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions_ascending(n),
+            is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
         ),
         "montreal": Variant(
@@ -671,10 +669,15 @@ def garden_of_eden_test(lam: Partition) -> bool:
 
 
 def garden_of_eden_texts(n: int) -> Iterator[str]:
-    """format_parts of each Garden of Eden partition of n, in the order of
-    enumerate_partitions, by its ZS1 again but with no tuple per partition:
-    pre[i], the text of x[0..i], is rewritten only where a step writes x,
-    and a partition's text is pre[h] and its m - 1 - h trailing 1s."""
+    """format_parts of each Garden of Eden partition of n, in
+    reverse-lexicographic order, with no tuple per partition.
+
+    This is Zoghbi and Stojmenovic's ZS1 ("Fast algorithms for generating
+    integer partitions", 1998): every slot past the current parts already
+    holds a 1 and h marks the last part above 1, so a step touches only
+    the parts it changes.  pre[i], the text of x[0..i], is rewritten only
+    where a step writes x, and a partition's text is pre[h] and its
+    m - 1 - h trailing 1s."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n)]
@@ -727,8 +730,8 @@ def knuth_exponent_check(k: int) -> KnuthReport:
     staircase, and no state farther from it than the exponent; its walk
     back from the cycles checks that it counted all p(n) partitions.
     Memory follows the walk's depth.  Only when the claim fails are the
-    witnesses listed, in enumeration order: every partition that B^(k(k-1))
-    does not send to the staircase, a fixed point.
+    witnesses listed, in reverse-lexicographic order: every partition that
+    B^(k(k-1)) does not send to the staircase, a fixed point.
     """
     return _knuth_check(k, k * (k - 1))
 
@@ -741,11 +744,11 @@ def _knuth_check(k: int, exponent: int) -> KnuthReport:
     g = analyze_state_space(n)
     if g.cycles == ((sigma,),) and g.max_tail <= exponent:
         return KnuthReport(k, n, exponent, g.state_count, ())
-    bad = tuple(
+    bad = sorted((
         lam for lam in enumerate_partitions(n)
         if next(islice(trajectory(lam, bulgarian_step), exponent, None)) != sigma
-    )
-    return KnuthReport(k, n, exponent, g.state_count, bad)
+    ), reverse=True)
+    return KnuthReport(k, n, exponent, g.state_count, tuple(bad))
 
 
 @dataclass(frozen=True)

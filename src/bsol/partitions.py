@@ -83,74 +83,34 @@ def potential_energy(lam: Partition) -> int:
 
 
 def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in reverse-lexicographic order.
+    """Yield every partition of n exactly once, in ascending lexicographic
+    order, from 1^n up to (n).
 
     max_part restricts all parts to at most that value.
 
-    This is Zoghbi and Stojmenovic's ZS1: every slot past the current parts
-    already holds a 1 and h marks the last part above 1, so a step touches
-    only the parts it changes and never rescans trailing 1s.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    # In reverse-lexicographic order the partitions with parts <= cap are
-    # the suffix that starts at the greedy (cap, ..., cap, n mod cap).
-    q, r = divmod(n, cap)
-    x = [cap] * q + [1] * (n - q)
-    if r:
-        x[q] = r
-    m = q + (r > 0)  # number of parts
-    h = q if r > 1 else q - 1  # index of the last part above 1 (unused once all are 1)
-    yield tuple(x[:m])
-    while x[0] != 1:
-        if x[h] == 2:  # 2 -> 1,1: the new 1 is already in place
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            r = x[h] - 1
-            t = m - h  # units to refill after x[h]: the one taken plus the trailing 1s
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
-
-
-def enumerate_partitions_ascending(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in ascending lexicographic
-    order: the reverse of enumerate_partitions, from 1^n up to (n).
-
     The next larger partition raises the last part that may grow, the
     rightmost part that is not the last and is below its left neighbour,
-    and turns everything after it into 1s.  As in ZS1, every slot past
-    the current parts already holds a 1 and h marks the last part above 1,
-    so only parts above 1 are ever reset.
+    and turns everything after it into 1s.  Every slot past the current
+    parts already holds a 1 and h marks the last part above 1, so only
+    parts above 1 are ever reset.  The first part never shrinks, so the
+    partitions with parts <= max_part are a prefix of this order, which
+    ends at the first step that would raise the first part past the cap.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         yield ()
+        return
+    cap = n if max_part is None else max_part
+    if cap < 1:
         return
     x = [1] * n
     m, h = n, -1  # number of parts; index of the last part above 1
     yield tuple(x)
     while m > 1:
         if m - h > 2:  # two trailing 1s become one 2
+            if h < 0 and cap < 2:  # ... as the first part, past the cap
+                return
             h += 1
             x[h] = 2
             m -= 1
@@ -158,6 +118,8 @@ def enumerate_partitions_ascending(n: int) -> Iterator[Partition]:
             i, v = m - 2, x[m - 2]
             while i and x[i - 1] == v:
                 i -= 1
+            if not i and v >= cap:  # the first part would pass the cap
+                return
             m = i + sum(x[i + 1 : m])
             x[i] = v + 1
             for j in range(i + 1, h + 1):
@@ -167,27 +129,8 @@ def enumerate_partitions_ascending(n: int) -> Iterator[Partition]:
 
 
 def enumerate_compositions(n: int) -> Iterator[Composition]:
-    """Yield every composition of n into positive parts (2^(n-1) of them) in
-    reverse-lexicographic order: each step pops the trailing 1s, takes one
-    from the last part above 1 and appends the freed units as one part."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        freed = 1  # the unit taken from the last part above 1
-        while parts and parts[-1] == 1:
-            freed += parts.pop()
-        if not parts:
-            return
-        parts[-1] -= 1
-        parts.append(freed)
-
-
-def enumerate_compositions_ascending(n: int) -> Iterator[Composition]:
-    """Yield every composition of n into positive parts exactly once, in
-    ascending lexicographic order: the sorted enumerate_compositions, from
-    1^n up to (n).
+    """Yield every composition of n into positive parts (2^(n-1) of them)
+    exactly once, in ascending lexicographic order, from 1^n up to (n).
 
     The next larger composition keeps all but the last two parts, raises
     the second to last by one and spreads what is left of the last as 1s.

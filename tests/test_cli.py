@@ -394,11 +394,12 @@ def test_cli_ge(capsys):
     for n in ("0", "1", "2"):  # no Garden of Eden state below n = 3
         assert run_cli(capsys, "ge", "--n", n)[:2] == (0, "")
         assert run_cli(capsys, "ge", "--n", n, "--format", "json")[:2] == (0, "[]\n")
-    # the lines are the parts of the filtered tuples, and the JSON list reads
-    # as json.dumps writes it, [] below n = 3; from n = 25 on it crosses the
-    # writer's chunks
+    # the lines are the parts of the filtered tuples in reverse-lexicographic
+    # order, and the JSON list reads as json.dumps writes it, [] below n = 3;
+    # from n = 25 on it crosses the writer's chunks
     for n in range(31):
-        ge = [lam for lam in enumerate_partitions(n) if lam and lam[0] < len(lam) - 1]
+        ge = [lam for lam in sorted(enumerate_partitions(n), reverse=True)
+              if lam and lam[0] < len(lam) - 1]
         code, out, _ = run_cli(capsys, "ge", "--n", str(n))
         assert (code, out) == (0, "".join(",".join(map(str, lam)) + "\n" for lam in ge))
         code, out, _ = run_cli(capsys, "ge", "--n", str(n), "--format", "json")
@@ -499,8 +500,10 @@ def test_cli_knuth_lists_every_exception_when_the_claim_fails(capsys, monkeypatc
     assert (code, err) == (4, "")
     head, *exceptions = out.splitlines()
     assert head == "k=3: B^0 reaches the staircase on all 11 partitions of 6: FAILS"
+    # in reverse-lexicographic order
     assert exceptions == [f"exception: {format_parts(lam)}"
-                          for lam in enumerate_partitions(6) if lam != (3, 2, 1)]
+                          for lam in sorted(enumerate_partitions(6), reverse=True)
+                          if lam != (3, 2, 1)]
 
 
 def test_cli_toom(capsys):

@@ -96,10 +96,8 @@ from bsol.partitions import (
     EnumerationBoundError,
     conjugate,
     enumerate_compositions,
-    enumerate_compositions_ascending,
     enumerate_montreal_compositions,
     enumerate_partitions,
-    enumerate_partitions_ascending,
     format_parts,
     normalize,
     potential_energy,
@@ -560,7 +558,7 @@ def knuth_explore_oracle(k, exponent):
     """The Knuth check exploring every partition forwards."""
     n = k * (k + 1) // 2
     sigma = staircase(k)
-    seeds = list(enumerate_partitions(n))
+    seeds = sorted(enumerate_partitions(n), reverse=True)  # witnesses in reverse-lex order
     _, dist, comp_of, _ = explore_oracle(seeds, bulgarian_step)
     bad = tuple(lam for lam in seeds if comp_of[lam] != sigma or dist[lam] > exponent)
     return KnuthReport(k, n, exponent, len(seeds), bad)
@@ -779,14 +777,14 @@ def test_staircase_distance_matches_oracle_past_the_shorter_shape(n):
 
 def test_enumerate_partitions_matches_oracle():
     for n in range(46):
-        assert list(enumerate_partitions(n)) == list(enumerate_partitions_oracle(n))
+        assert list(enumerate_partitions(n)) == sorted(enumerate_partitions_oracle(n))
 
 
 def test_bounded_enumeration_matches_recursive_oracle():
     for n in range(31):
         for cap in range(-1, n + 2):
             assert (list(enumerate_partitions(n, max_part=cap))
-                    == list(bounded_partitions_oracle(n, cap)))
+                    == sorted(bounded_partitions_oracle(n, cap)))
 
 
 def test_knuth_check_matches_stepping_oracle():
@@ -954,7 +952,7 @@ def test_montreal_step_rejects_a_negative_interior_part():
 
 def test_compositions_match_the_recursive_concatenation():
     for n in range(1, 19):
-        assert same_stream(enumerate_compositions(n), compositions_oracle(n))
+        assert same_stream(enumerate_compositions(n), sorted(compositions_oracle(n)))
 
 
 def test_toom_path_matches_its_own_step_loop():
@@ -1103,9 +1101,9 @@ def test_dual_walk_matches_the_conjugated_bulgarian_summary():
 
 def test_ascending_enumeration_is_the_sorted_partitions():
     for n in range(46):
-        assert same_stream(enumerate_partitions_ascending(n), sorted(enumerate_partitions(n)))
+        assert same_stream(enumerate_partitions(n), sorted(bounded_partitions_oracle(n, n)))
     with pytest.raises(ValueError, match="nonnegative"):
-        next(enumerate_partitions_ascending(-1))
+        next(enumerate_partitions(-1))
 
 
 @pytest.mark.parametrize("variant, first", [("bulgarian", 0), ("dual", 1)])
@@ -1147,11 +1145,13 @@ def test_carolina_predecessors_match_brute_force_preimages():
 
 
 def test_ascending_compositions_are_the_sorted_compositions():
+    # a composition of n is the set of gaps among 1..n-1 at which it is cut
     for n in range(1, 17):
-        assert same_stream(enumerate_compositions_ascending(n),
-                           sorted(enumerate_compositions(n)))
+        cut = (c for r in range(n) for c in combinations(range(1, n), r))
+        assert same_stream(enumerate_compositions(n), sorted(
+            tuple(b - a for a, b in zip((0,) + c, c + (n,))) for c in cut))
     with pytest.raises(ValueError, match="positive"):
-        next(enumerate_compositions_ascending(0))
+        next(enumerate_compositions(0))
 
 
 def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():
@@ -1472,6 +1472,14 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
+    # the writers list the states through the same enumerators, ascending:
+    # the GE states once, and for DOT the edges once more
+    calls.clear()
+    analyze_state_space(6).to_json()
+    assert calls["enumerate_partitions"] == 1
+    calls.clear()
+    analyze_state_space(6, "carolina").to_dot()
+    assert calls["enumerate_compositions"] == 2
     # ... whose one cycle, the fixed staircase, is stepped three times: the
     # finder's repeat, its hare one move ahead and the path walked again;
     # the DOT edges step each of the 11 partitions of 6 once
@@ -1558,8 +1566,18 @@ GOLDEN_ONE_EXPLORER = [
 ]
 
 
+# recorded before the partitions and compositions were listed in ascending
+# order: L = 1 caps every Austrian pile at one card, where the capped
+# partitions stop at once
+GOLDEN_ASCENDING = [
+    (("graph", "--variant", "austrian", "--n", "12", "--L", "1", "--format", "dot"),
+     "a53187120e555e127a98557257d592218be71a38fdb76d974a4f94baea29f8f9"),
+]
+
+
 @pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY
-                         + GOLDEN_WALK + GOLDEN_CAROLINA_WALK + GOLDEN_ONE_EXPLORER)
+                         + GOLDEN_WALK + GOLDEN_CAROLINA_WALK + GOLDEN_ONE_EXPLORER
+                         + GOLDEN_ASCENDING)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out

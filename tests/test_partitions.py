@@ -127,7 +127,7 @@ def test_energy_matches_closed_form():
 def test_enumerate_partitions_small():
     assert list(enumerate_partitions(0)) == [()]
     assert list(enumerate_partitions(4)) == [
-        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+        (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,),
     ]
     assert len(list(enumerate_partitions(7))) == 15
 
@@ -138,23 +138,23 @@ def test_enumerate_partitions_counts_match_oracle():
         assert count == partition_count_oracle(n)
 
 
-def test_enumerate_partitions_reverse_lex_and_canonical():
+def test_enumerate_partitions_ascending_and_canonical():
     for n in (9, 13):
         seen = list(enumerate_partitions(n))
         assert all(is_partition(lam) and sum(lam) == n for lam in seen)
         assert len(set(seen)) == len(seen)
-        assert seen == sorted(seen, reverse=True)
+        assert seen == sorted(seen)
 
 
 def test_enumerators_are_lazy_and_unbounded():
     # the library sets no size bound; the first state of a huge space comes at once
-    assert next(enumerate_partitions(10**6)) == (10**6,)
-    assert next(enumerate_compositions(10**6)) == (10**6,)
+    assert next(enumerate_partitions(10**6)) == (1,) * 10**6
+    assert next(enumerate_compositions(10**6)) == (1,) * 10**6
 
 
 def test_enumerate_partitions_max_part():
     got = list(enumerate_partitions(5, max_part=2))
-    assert got == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+    assert got == [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1)]
     for n in range(12):
         everything = list(enumerate_partitions(n, max_part=n if n else 1))
         assert everything == list(enumerate_partitions(n))
@@ -162,7 +162,7 @@ def test_enumerate_partitions_max_part():
 
 def test_enumerate_compositions_small():
     assert list(enumerate_compositions(1)) == [(1,)]
-    assert list(enumerate_compositions(3)) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
+    assert list(enumerate_compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(list(enumerate_compositions(5))) == 16
 
 
