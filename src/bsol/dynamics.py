@@ -233,6 +233,7 @@ class Variant:
     states: Callable | None = None  # (n, L): every state, made afresh, ascending
     total: Callable | None = None  # (n, L): how many states the walk reaches
     what: str = ""  # those states, with {n} and {L}, for the walk's self-check
+    ge_texts: Callable | None = None  # (n, L): state_label of each Garden of Eden state, ascending
 
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
@@ -262,6 +263,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             cycles=lambda n, L, limit: _cycles_through(_necklace_states(n), bulgarian_step),
             predecessors=_predecessors, is_ge=garden_of_eden_test,
             total=lambda n, L: partition_count(n),
+            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: first < m - 1, False),
         ),
         # the Bulgarian move conjugated; it needs a pile to deal out, so 0 cards is no state
         "dual": Variant(
@@ -270,6 +272,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
                 map(conjugate, _necklace_states(n)), dual_step),
             predecessors=_dual_predecessors, is_ge=_dual_ge,
             total=lambda n, L: partition_count(n) if n else 0,
+            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: m < first - 1, False),
         ),
         "carolina": Variant(
             "carolina", carolina_step, "strict",
@@ -277,6 +280,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             predecessors=_carolina_predecessors,
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
+            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: first < m - 1, True),
         ),
         "montreal": Variant(
             "montreal", montreal_step, "montreal",
@@ -545,13 +549,14 @@ class _Stream:
 class GraphSummary:
     """Exact structure of one variant's state graph on all states of size n.
 
-    edges is a stream for every variant, and so is ge_states unless it is
+    edges is a stream for every variant, and so are ge_states and, for a
+    graph of partitions or compositions, ge_texts, their texts, unless
     empty: each pass makes them afresh, in ascending order of the source
-    state, as a sorted tuple would hold them.  cycles is a tuple, or for
-    a graph read off its cycles (Montreal) a stream that makes each cycle
-    afresh, rotated, in ascending order.  smallest_ge holds, per
-    cycle, the smallest Garden of Eden state whose orbit enters it, or
-    None.
+    state, as a sorted tuple would hold them; the writers list ge_texts.
+    cycles is a tuple, or for a graph read off its cycles (Montreal) a
+    stream that makes each cycle afresh, rotated, in ascending order.
+    smallest_ge holds, per cycle, the smallest Garden of Eden state whose
+    orbit enters it, or None.
     """
 
     n: int
@@ -562,6 +567,7 @@ class GraphSummary:
     ge_states: tuple[State, ...] | _Stream
     edges: _Stream = field(repr=False)
     smallest_ge: tuple[State | None, ...] = ()
+    ge_texts: _Stream | None = field(default=None, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -580,14 +586,17 @@ class GraphSummary:
             "component_count": self.component_count,
             "max_tail": self.max_tail,
         }
+        ge = (map(_state_json, self.ge_states) if self.ge_texts is None else
+              (f'{{"parts":[{text}],"n":{self.n}}}' for text in self.ge_texts))
         return json_with_bulk(head, ("cycles", "[]", map(_cycle_json, self.cycles)),
-                              ("ge_states", "[]", map(_state_json, self.ge_states)))
+                              ("ge_states", "[]", ge))
 
     def dot_chunks(self) -> Iterator[str]:
         """The text of to_dot(), a piece at a time."""
         yield f"digraph {self.variant}_n{self.n} {{"
+        ge = map(state_label, self.ge_states) if self.ge_texts is None else self.ge_texts
         lines = chain(
-            (f'\n  "{state_label(s)}" [ge=true, style=dashed];' for s in self.ge_states),
+            (f'\n  "{text}" [ge=true, style=dashed];' for text in ge),
             (f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges),
         )
         for batch in _batches(lines):
@@ -617,15 +626,15 @@ def analyze_state_space(
     itself: it must reach all total(n, L) states, or a cycle was missed.
     The component count is the number of cycles the walk started from,
     never the total it is compared against.  A caller can size these
-    graphs beforehand with total(n, L).
+    graphs beforehand with total(n, L).  The texts of its Garden of Eden
+    states come from its record's ge_texts, where it has one.
 
     A graph without one (Montreal) is its cycles: no tails, no Garden of
     Eden state.  Its record gives each cycle's smallest state, and the
     summary's cycles are a stream that walks each again from there until
     it comes back, so only the DOT edges, in ascending order of every
-    state, sort them all.
-    Its cycles leave its seeds; their states count against limit, and
-    more than limit states raise EnumerationBoundError.
+    state, sort them all.  Its cycles leave its seeds; their states count
+    against limit, and more than limit states raise EnumerationBoundError.
     """
     game = get_variant(variant, L=L)
     if game.cycles is None:
@@ -655,6 +664,8 @@ def analyze_state_space(
         ge_states=_Stream(lambda: filter(is_ge, states()), ge_count) if ge_count else (),
         edges=_Stream(lambda: ((x, step(x)) for x in states()), count),
         smallest_ge=smallest_ge,
+        ge_texts=_Stream(partial(game.ge_texts, n, L), ge_count)
+        if ge_count and game.ge_texts else None,
     )
 
 
@@ -704,6 +715,40 @@ def garden_of_eden_texts(n: int) -> Iterator[str]:
                 x[h], pre[h] = t, text + sep[t]
         if x[0] < m - 1:
             yield pre[h] + ones[m - 1 - h]
+
+
+def _ge_texts(n: int, ge: Callable[[int, int], bool], compositions: bool) -> Iterator[str]:
+    """format_parts of each partition, or composition, of n >= 1 whose first
+    part and part count pass ge, ascending, with no tuple per state: the
+    walk of enumerate_partitions, or enumerate_compositions, on its own x,
+    with the prefix texts pre of garden_of_eden_texts.  A composition step
+    writes those of the 1s before the part it raises, which it may raise next."""
+    ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n + 1)]
+    table = [[ge(first, m) for m in range(n + 1)] for first in range(n + 1)]
+    x, pre, rule, m, h = [1] * n, [""] * n, table[1], n, -1
+    if rule[m]:
+        yield "1" + ones[m - 1]
+    while m > 1:  # m parts, the last above 1 at h
+        if compositions:  # the last part goes, the one before grows, the rest are 1s
+            m -= 1
+            last, x[m], i = x[m], 1, m - 1
+            for j in range(h + 1, i):
+                pre[j] = pre[j - 1] + ",1" if j else "1"
+            m, v = m + last - 1, x[i] + 1
+        elif m - h > 2:  # two trailing 1s become one 2
+            i, v, m = h + 1, 2, m - 1
+        else:  # the part that grows starts the run holding x[m - 2]
+            i, v = m - 2, x[m - 2] + 1
+            while i and x[i - 1] == v - 1:
+                i -= 1
+            m = i + sum(x[i + 1 : m])
+            x[i + 1 : h + 1] = [1] * (h - i)
+        x[i], h = v, i
+        pre[i] = pre[i - 1] + sep[v] if i else str(v)
+        if not i:
+            rule = table[v]
+        if rule[m]:
+            yield pre[i] + ones[m - 1 - i]
 
 
 # --- classical-results reports ---

@@ -5,7 +5,9 @@ state-by-state implementations, kept verbatim as references.  Results are
 compared with ==, floats included, because the arithmetic is the same
 integer total divided by the same n; a ValueError must be raised by both
 or by neither, with the same message.  The JSON and DOT writers are
-compared with json.dumps and the old DOT loop.  Where a primitive had two
+compared with json.dumps and the old DOT loop, and the Garden of Eden
+texts that they list for partitions and compositions with the tuple
+states, each through format_parts.  Where a primitive had two
 copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
 Montreal recursion, the orbit's cycle finder, the pentagonal partition
 count, the cell-by-cell necklace reader, the two circular deals), the copy
@@ -824,6 +826,35 @@ def test_graph_writers_cover_empty_and_generic_ge_lists():
     assert any(s.bank for s in analyze_state_space(10, "austrian", L=3).ge_states)
 
 
+# the Bulgarian, dual and Carolina writers list the GE states from a text
+# walker; the tuple stream, state by state through format_parts, is its oracle
+TEXT_GE = [("bulgarian", range(41)), ("dual", range(1, 41)), ("carolina", range(1, 15))]
+
+
+@pytest.mark.parametrize("variant, ns", TEXT_GE)
+def test_ge_texts_match_the_tuple_states(variant, ns):
+    for n in ns:
+        g = analyze_state_space(n, variant)
+        if n < 3:  # no partition or composition of under 3 cards lacks a predecessor
+            assert g.ge_texts is None and g.ge_states == (), n
+            continue
+        texts = list(g.ge_texts)
+        assert texts == [format_parts(s) for s in g.ge_states], n
+        assert len(texts) == len(g.ge_texts) == len(g.ge_states), n  # the walk's GE count
+    assert analyze_state_space(10, "austrian", L=3).ge_texts is None
+    assert analyze_state_space(6, "montreal").ge_texts is None
+    with pytest.raises(ValueError, match="nonempty"):  # the dual graph has no 0-card state
+        analyze_state_space(0, "dual")
+
+
+@pytest.mark.parametrize("variant, n", [("bulgarian", 24), ("dual", 24), ("carolina", 11)])
+def test_text_ge_writers_match_the_tuple_writers(variant, n):
+    g = analyze_state_space(n, variant)
+    assert g.ge_texts is not None
+    assert "".join(g.json_chunks()) == graph_json_oracle(g)
+    assert "".join(g.dot_chunks()) == graph_dot_oracle(g)
+
+
 def test_state_writer_matches_json_dumps_for_every_state_kind():
     states = [(), (3,), (4, 0, 2), (300, 1), AustrianState((3, 1), 2, 4),
               PointerState((0, 2, 1), 2), MultiplayerState(((2, 1), (3,)))]
@@ -1472,14 +1503,14 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         calls.clear()
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
-    # the writers list the states through the same enumerators, ascending:
-    # the GE states once, and for DOT the edges once more
+    # the writers list the GE states from a text walker, and for DOT the
+    # edges through the same enumerators, ascending
     calls.clear()
     analyze_state_space(6).to_json()
-    assert calls["enumerate_partitions"] == 1
+    assert calls["enumerate_partitions"] == 0
     calls.clear()
     analyze_state_space(6, "carolina").to_dot()
-    assert calls["enumerate_compositions"] == 2
+    assert calls["enumerate_compositions"] == 1
     # ... whose one cycle, the fixed staircase, is stepped three times: the
     # finder's repeat, its hare one move ahead and the path walked again;
     # the DOT edges step each of the 11 partitions of 6 once
