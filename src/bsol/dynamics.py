@@ -40,6 +40,7 @@ from .partitions import (
     enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
+    enumerate_texts,
     format_parts,
     join_parts,
     staircase,
@@ -263,7 +264,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             cycles=lambda n, L, limit: _cycles_through(_necklace_states(n), bulgarian_step),
             predecessors=_predecessors, is_ge=garden_of_eden_test,
             total=lambda n, L: partition_count(n),
-            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: first < m - 1, False),
+            ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: first < m - 1, False),
         ),
         # the Bulgarian move conjugated; it needs a pile to deal out, so 0 cards is no state
         "dual": Variant(
@@ -272,7 +273,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
                 map(conjugate, _necklace_states(n)), dual_step),
             predecessors=_dual_predecessors, is_ge=_dual_ge,
             total=lambda n, L: partition_count(n) if n else 0,
-            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: m < first - 1, False),
+            ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: m < first - 1, False),
         ),
         "carolina": Variant(
             "carolina", carolina_step, "strict",
@@ -280,7 +281,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             predecessors=_carolina_predecessors,
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
-            ge_texts=lambda n, L: _ge_texts(n, lambda first, m: first < m - 1, True),
+            ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: first < m - 1, True),
         ),
         "montreal": Variant(
             "montreal", montreal_step, "montreal",
@@ -715,40 +716,6 @@ def garden_of_eden_texts(n: int) -> Iterator[str]:
                 x[h], pre[h] = t, text + sep[t]
         if x[0] < m - 1:
             yield pre[h] + ones[m - 1 - h]
-
-
-def _ge_texts(n: int, ge: Callable[[int, int], bool], compositions: bool) -> Iterator[str]:
-    """format_parts of each partition, or composition, of n >= 1 whose first
-    part and part count pass ge, ascending, with no tuple per state: the
-    walk of enumerate_partitions, or enumerate_compositions, on its own x,
-    with the prefix texts pre of garden_of_eden_texts.  A composition step
-    writes those of the 1s before the part it raises, which it may raise next."""
-    ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n + 1)]
-    table = [[ge(first, m) for m in range(n + 1)] for first in range(n + 1)]
-    x, pre, rule, m, h = [1] * n, [""] * n, table[1], n, -1
-    if rule[m]:
-        yield "1" + ones[m - 1]
-    while m > 1:  # m parts, the last above 1 at h
-        if compositions:  # the last part goes, the one before grows, the rest are 1s
-            m -= 1
-            last, x[m], i = x[m], 1, m - 1
-            for j in range(h + 1, i):
-                pre[j] = pre[j - 1] + ",1" if j else "1"
-            m, v = m + last - 1, x[i] + 1
-        elif m - h > 2:  # two trailing 1s become one 2
-            i, v, m = h + 1, 2, m - 1
-        else:  # the part that grows starts the run holding x[m - 2]
-            i, v = m - 2, x[m - 2] + 1
-            while i and x[i - 1] == v - 1:
-                i -= 1
-            m = i + sum(x[i + 1 : m])
-            x[i + 1 : h + 1] = [1] * (h - i)
-        x[i], h = v, i
-        pre[i] = pre[i - 1] + sep[v] if i else str(v)
-        if not i:
-            rule = table[v]
-        if rule[m]:
-            yield pre[i] + ones[m - 1 - i]
 
 
 # --- classical-results reports ---

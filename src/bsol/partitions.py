@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import count
 from math import isqrt
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -145,6 +145,39 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
             return
         parts[-1] += 1
         parts += [1] * (last - 1)
+
+
+def enumerate_texts(n: int, keep: Callable[[int, int], bool], compositions: bool) -> Iterator[str]:
+    """format_parts of each partition, or composition, of n >= 1 whose first
+    part and part count pass keep, ascending, with no tuple per state: the
+    steps of enumerate_partitions, or enumerate_compositions, on a list x of
+    its own, with pre[i], the text of x[0..i], rewritten where a step writes
+    x, and a composition step also writes those of the 1s before x[i]."""
+    ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n + 1)]
+    table = [[keep(first, m) for m in range(n + 1)] for first in range(n + 1)]
+    x, pre, rule, m, h = [1] * n, [""] * n, table[1], n, -1
+    if rule[m]:
+        yield "1" + ones[m - 1]
+    while m > 1:  # m parts, the last above 1 at h
+        if compositions:  # the last part goes, the one before grows, the rest are 1s
+            i, last, x[m - 1] = m - 2, x[m - 1], 1
+            for j in range(h + 1, i):
+                pre[j] = pre[j - 1] + ",1" if j else "1"
+            m, v = m + last - 2, x[i] + 1
+        elif m - h > 2:  # two trailing 1s become one 2
+            i, v, m = h + 1, 2, m - 1
+        else:  # the part that grows starts the run holding x[m - 2]
+            i, v = m - 2, x[m - 2] + 1
+            while i and x[i - 1] == v - 1:
+                i -= 1
+            m = i + sum(x[i + 1 : m])
+            x[i + 1 : h + 1] = [1] * (h - i)
+        x[i], h = v, i
+        pre[i] = pre[i - 1] + sep[v] if i else str(v)
+        if not i:
+            rule = table[v]
+        if rule[m]:
+            yield pre[i] + ones[m - 1 - i]
 
 
 def enumerate_montreal_compositions(n: int) -> Iterator[Composition]:

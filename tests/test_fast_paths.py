@@ -100,6 +100,7 @@ from bsol.partitions import (
     enumerate_compositions,
     enumerate_montreal_compositions,
     enumerate_partitions,
+    enumerate_texts,
     format_parts,
     normalize,
     potential_energy,
@@ -845,6 +846,18 @@ def test_ge_texts_match_the_tuple_states(variant, ns):
     assert analyze_state_space(6, "montreal").ge_texts is None
     with pytest.raises(ValueError, match="nonempty"):  # the dual graph has no 0-card state
         analyze_state_space(0, "dual")
+
+
+def test_text_walker_writes_every_state_it_is_asked_for():
+    # kept by every rule, the walker lists each state of the tuple enumerator
+    for n in range(1, 21):
+        assert list(enumerate_texts(n, lambda first, m: True, False)) == [
+            format_parts(s) for s in enumerate_partitions(n)], n
+    for n in range(1, 13):
+        assert list(enumerate_texts(n, lambda first, m: True, True)) == [
+            format_parts(s) for s in enumerate_compositions(n)], n
+        assert list(enumerate_texts(n, lambda first, m: first == m, True)) == [
+            format_parts(s) for s in enumerate_compositions(n) if s[0] == len(s)], n
 
 
 @pytest.mark.parametrize("variant, n", [("bulgarian", 24), ("dual", 24), ("carolina", 11)])
