@@ -849,7 +849,7 @@ def test_ge_texts_match_the_tuple_states(variant, ns):
 
 
 def test_text_walker_writes_every_state_it_is_asked_for():
-    # kept by every rule, the walker lists each state of the tuple enumerator
+    # under a rule that keeps every state, the walker lists the tuple enumerator
     for n in range(1, 21):
         assert list(enumerate_texts(n, lambda first, m: True, False)) == [
             format_parts(s) for s in enumerate_partitions(n)], n
