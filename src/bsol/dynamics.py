@@ -36,6 +36,7 @@ from .partitions import (
     Composition,
     EnumerationBoundError,
     Partition,
+    carolina_edge_texts,
     conjugate,
     enumerate_compositions,
     enumerate_montreal_compositions,
@@ -235,6 +236,7 @@ class Variant:
     total: Callable | None = None  # (n, L): how many states the walk reaches
     what: str = ""  # those states, with {n} and {L}, for the walk's self-check
     ge_texts: Callable | None = None  # (n, L): state_label of each Garden of Eden state, ascending
+    edge_texts: Callable | None = None  # (n, L): the DOT line of each state's edge, ascending
 
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
@@ -282,6 +284,7 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
             is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
             ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: first < m - 1, True),
+            edge_texts=lambda n, L: carolina_edge_texts(n),
         ),
         "montreal": Variant(
             "montreal", montreal_step, "montreal",
@@ -552,8 +555,9 @@ class GraphSummary:
 
     edges is a stream for every variant, and so are ge_states and, for a
     graph of partitions or compositions, ge_texts, their texts, unless
-    empty: each pass makes them afresh, in ascending order of the source
-    state, as a sorted tuple would hold them; the writers list ge_texts.
+    empty, and for the Carolina graph edge_texts, the edges' DOT lines:
+    each pass makes them afresh, in ascending order of the source state,
+    as a sorted tuple would hold them; the writers list the texts.
     cycles is a tuple, or for a graph read off its cycles (Montreal) a
     stream that makes each cycle afresh, rotated, in ascending order.
     smallest_ge holds, per cycle, the smallest Garden of Eden state whose
@@ -569,6 +573,7 @@ class GraphSummary:
     edges: _Stream = field(repr=False)
     smallest_ge: tuple[State | None, ...] = ()
     ge_texts: _Stream | None = field(default=None, repr=False)
+    edge_texts: _Stream | None = field(default=None, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -596,10 +601,9 @@ class GraphSummary:
         """The text of to_dot(), a piece at a time."""
         yield f"digraph {self.variant}_n{self.n} {{"
         ge = map(state_label, self.ge_states) if self.ge_texts is None else self.ge_texts
-        lines = chain(
-            (f'\n  "{text}" [ge=true, style=dashed];' for text in ge),
-            (f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges),
-        )
+        edges = (self.edge_texts if self.edge_texts is not None else
+                 (f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in self.edges))
+        lines = chain((f'\n  "{text}" [ge=true, style=dashed];' for text in ge), edges)
         for batch in _batches(lines):
             yield "".join(batch)
         yield "\n}"
@@ -628,7 +632,8 @@ def analyze_state_space(
     The component count is the number of cycles the walk started from,
     never the total it is compared against.  A caller can size these
     graphs beforehand with total(n, L).  The texts of its Garden of Eden
-    states come from its record's ge_texts, where it has one.
+    states and its DOT edges come from its record's ge_texts and
+    edge_texts, where it has them.
 
     A graph without one (Montreal) is its cycles: no tails, no Garden of
     Eden state.  Its record gives each cycle's smallest state, and the
@@ -667,6 +672,7 @@ def analyze_state_space(
         smallest_ge=smallest_ge,
         ge_texts=_Stream(partial(game.ge_texts, n, L), ge_count)
         if ge_count and game.ge_texts else None,
+        edge_texts=_Stream(partial(game.edge_texts, n, L), count) if game.edge_texts else None,
     )
 
 

@@ -180,6 +180,25 @@ def enumerate_texts(n: int, keep: Callable[[int, int], bool], compositions: bool
             yield pre[i] + ones[m - 1 - i]
 
 
+def carolina_edge_texts(n: int) -> Iterator[str]:
+    """The DOT edge line '\\n  "a" -> "C(a)";' of each composition a of n >= 1
+    under the Carolina move, ascending, with no tuple per state: the steps of
+    enumerate_texts on compositions, with img[i] too, the text ",x[j]-1" of
+    each x[j] > 1 with j <= i.  The move drops a's trailing 1s and puts its
+    part count m first, so C(a) is m and img[h]; img[-1] stays empty."""
+    mid, sep = [",1" * i + '" -> "' for i in range(n)], [f",{i}" for i in range(n + 1)]
+    x, pre, img, m, h = [1] * n, [""] * n, [""] * (n + 1), n, -1
+    yield f'\n  "1{mid[n - 1]}{n}";'
+    while m > 1:  # m parts, the last above 1 at h
+        i, last, x[m - 1] = m - 2, x[m - 1], 1
+        for j in range(h + 1, i):
+            pre[j], img[j] = pre[j - 1] + ",1" if j else "1", img[j - 1]
+        m, v = m + last - 2, x[i] + 1
+        x[i], h, img[i] = v, i, img[i - 1] + sep[v - 1]
+        pre[i] = pre[i - 1] + sep[v] if i else str(v)
+        yield f'\n  "{pre[i]}{mid[m - 1 - i]}{m}{img[i]}";'
+
+
 def enumerate_montreal_compositions(n: int) -> Iterator[Composition]:
     """Yield compositions of n with positive endpoints and interior zeros.
 

@@ -7,11 +7,12 @@ integer total divided by the same n; a ValueError must be raised by both
 or by neither, with the same message.  The JSON and DOT writers are
 compared with json.dumps and the old DOT loop, and the Garden of Eden
 texts that they list for partitions and compositions with the tuple
-states, each through format_parts.  Where a primitive had two
-copies (the normaliser, the Toom walk, the GE pass, the chain loop, the
-Montreal recursion, the orbit's cycle finder, the pentagonal partition
-count, the cell-by-cell necklace reader, the two circular deals), the copy
-that was folded away is the oracle for the one that stayed.  The graph
+states, each through format_parts, and so are the Carolina edge lines with
+the tuple edges.  Where a primitive had two copies (the normaliser, the
+Toom walk, the GE pass, the chain loop, the Montreal recursion, the
+orbit's cycle finder, the pentagonal partition count, the cell-by-cell
+necklace reader, the two circular deals), the copy that was folded away
+is the oracle for the one that stayed.  The graph
 stages that became single passes (the Montreal move's loop, the
 composition loop) keep their earlier versions as oracles too.  Every
 graph, walked back from its cycles or, for Montreal, read off its seeds'
@@ -848,6 +849,18 @@ def test_ge_texts_match_the_tuple_states(variant, ns):
         analyze_state_space(0, "dual")
 
 
+def test_carolina_edge_texts_match_the_tuple_edges():
+    # the Carolina DOT writer lists its edges from a text walker; the tuple
+    # edges, each through state_label, are its oracle
+    for n in range(1, 17):
+        g = analyze_state_space(n, "carolina")
+        texts = list(g.edge_texts)
+        assert texts == [f'\n  "{state_label(a)}" -> "{state_label(b)}";' for a, b in g.edges], n
+        assert len(texts) == len(g.edge_texts) == g.state_count == 1 << n >> 1, n
+    for variant, L in [("bulgarian", None), ("dual", None), ("montreal", None), ("austrian", 3)]:
+        assert analyze_state_space(8, variant, L=L).edge_texts is None, variant
+
+
 def test_text_walker_writes_every_state_it_is_asked_for():
     # under a rule that keeps every state, the walker lists the tuple enumerator
     for n in range(1, 21):
@@ -1479,6 +1492,7 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         return wrapper
 
     for module, name in [(bsol.dynamics, "bulgarian_step"),
+                         (bsol.dynamics, "carolina_step"),
                          (bsol.dynamics, "enumerate_partitions"),
                          (bsol.dynamics, "enumerate_compositions"),
                          (bsol.dynamics, "enumerate_montreal_compositions"),
@@ -1517,13 +1531,15 @@ def test_hot_calls_go_through_the_module_globals(monkeypatch):
         analyze_state_space(6, variant, L=L)
         assert calls[name] == times, variant
     # the writers list the GE states from a text walker, and for DOT the
-    # edges through the same enumerators, ascending
+    # edges through the same enumerators, ascending, but the Carolina edges
+    # come from a text walker too, which neither enumerates nor steps
     calls.clear()
     analyze_state_space(6).to_json()
     assert calls["enumerate_partitions"] == 0
+    g = analyze_state_space(6, "carolina")
     calls.clear()
-    analyze_state_space(6, "carolina").to_dot()
-    assert calls["enumerate_compositions"] == 1
+    g.to_dot()
+    assert calls["enumerate_compositions"] == calls["carolina_step"] == 0
     # ... whose one cycle, the fixed staircase, is stepped three times: the
     # finder's repeat, its hare one move ahead and the path walked again;
     # the DOT edges step each of the 11 partitions of 6 once
@@ -1619,9 +1635,17 @@ GOLDEN_ASCENDING = [
 ]
 
 
+# recorded before the Carolina DOT edges were written as text by a
+# composition walker instead of a tuple and two labels per edge
+GOLDEN_CAROLINA_EDGES = [
+    (("graph", "--variant", "carolina", "--n", "18", "--format", "dot"),
+     "f7b16f122a293b6a1f8cdc4fac6d1875b4905bacc4d35ee0b020bac7c72d8e68"),
+]
+
+
 @pytest.mark.parametrize("argv, digest", GOLDEN_EXHAUSTIVE + GOLDEN_WRITERS + GOLDEN_ONE_COPY
                          + GOLDEN_WALK + GOLDEN_CAROLINA_WALK + GOLDEN_ONE_EXPLORER
-                         + GOLDEN_ASCENDING)
+                         + GOLDEN_ASCENDING + GOLDEN_CAROLINA_EDGES)
 def test_exhaustive_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
