@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain, combinations, islice, permutations, takewhile
+from itertools import chain, combinations, filterfalse, islice, permutations, takewhile
 from math import comb, inf
 from typing import Any, Callable, Iterable, Iterator
 
@@ -219,19 +219,19 @@ class Variant:
     that analyze_state_space serves, the facts of its graph on n cards.
 
     Only the Austrian game reads the lifetime L that each fact takes.  A
-    graph with a predecessor rule is walked in its own terms: its cycles
-    are found by orbits, under its own move, of states they pass through.
-    A graph without one (Montreal) is its cycles, and total counts its seeds.
+    graph with a predecessor rule is walked in its own terms, its cycles
+    found by orbits under its own move, and a state that the rule answers
+    with an empty (falsy) value is a Garden of Eden state.  A graph
+    without one (Montreal) is its cycles, and total counts its seeds.
     """
 
     name: str
     step: StepFn
     state_kind: str
-    # (n, L, limit): each rotated, ascending; without a predecessor rule,
-    # the smallest state of each, ascending, and the states on them all
+    # (n, L, limit): states whose orbits end on every cycle; without a predecessor
+    # rule, each cycle's smallest state, ascending, and the states on them all
     cycles: Callable | None = None
     predecessors: Callable | None = None  # every state one move sends to a state
-    is_ge: Callable | None = None  # true exactly when a state has no predecessor
     states: Callable | None = None  # (n, L): every state, made afresh, ascending
     total: Callable | None = None  # (n, L): how many states the walk reaches
     what: str = ""  # those states, with {n} and {L}, for the walk's self-check
@@ -241,7 +241,8 @@ class Variant:
 
 def _austrian_states(n: int, L: int) -> Iterator[AustrianState]:
     for bank in range(min(L - 1, n) + 1):
-        for piles in enumerate_partitions(n - bank, max_part=L):
+        # ascending, the first part never shrinks: the capped piles come first
+        for piles in takewhile(lambda lam: not lam or lam[0] <= L, enumerate_partitions(n - bank)):
             yield AustrianState(piles, bank, L)
 
 
@@ -263,25 +264,22 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
     registry = {
         "bulgarian": Variant(
             "bulgarian", bulgarian_step, "partition", **partitions,
-            cycles=lambda n, L, limit: _cycles_through(_necklace_states(n), bulgarian_step),
-            predecessors=_predecessors, is_ge=garden_of_eden_test,
+            cycles=lambda n, L, limit: _necklace_states(n), predecessors=_predecessors,
             total=lambda n, L: partition_count(n),
             ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: first < m - 1, False),
         ),
         # the Bulgarian move conjugated; it needs a pile to deal out, so 0 cards is no state
         "dual": Variant(
             "dual", dual_step, "partition", **partitions,
-            cycles=lambda n, L, limit: _cycles_through(
-                map(conjugate, _necklace_states(n)), dual_step),
-            predecessors=_dual_predecessors, is_ge=_dual_ge,
+            cycles=lambda n, L, limit: map(conjugate, _necklace_states(n)),
+            predecessors=_dual_predecessors,
             total=lambda n, L: partition_count(n) if n else 0,
             ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: m < first - 1, False),
         ),
         "carolina": Variant(
             "carolina", carolina_step, "strict",
-            cycles=lambda n, L, limit: _cycles_through(_orderings(n), carolina_step),
-            predecessors=_carolina_predecessors,
-            is_ge=garden_of_eden_test, states=lambda n, L: enumerate_compositions(n),
+            cycles=lambda n, L, limit: _orderings(n), predecessors=_carolina_predecessors,
+            states=lambda n, L: enumerate_compositions(n),
             total=lambda n, L: 1 << n >> 1, what="compositions of {n}",
             ge_texts=lambda n, L: enumerate_texts(n, lambda first, m: first < m - 1, True),
             edge_texts=lambda n, L: carolina_edge_texts(n),
@@ -294,9 +292,8 @@ def get_variant(name: str, *, L: int | None = None) -> Variant:
         "austrian": Variant(
             "austrian", austrian_step, "austrian",
             # the one cycle (Akin and Davis, "Bulgarian solitaire"): any state's orbit ends on it
-            cycles=lambda n, L, limit: _cycles_through(
-                islice(_austrian_states(n, L), 1), austrian_step),
-            predecessors=_austrian_predecessors, is_ge=_austrian_ge,
+            cycles=lambda n, L, limit: islice(_austrian_states(n, L), 1),
+            predecessors=_austrian_predecessors,
             states=lambda n, L: sorted(_austrian_states(n, L)),
             total=_austrian_state_count, what="austrian states of {n} with L = {L}",
         ),
@@ -388,24 +385,27 @@ def _dual_predecessors(mu: Partition) -> list[Partition]:
     return preds
 
 
-def _carolina_predecessors(beta: Composition) -> Iterator[Composition]:
-    """Every composition that one Carolina move sends to beta, made lazily.
+def _carolina_predecessors(beta: Composition) -> Iterable[Composition]:
+    """Every composition that one Carolina move sends to beta: () or a lazy stream.
 
     For beta = (c, b_1, ..., b_m) they are the C(c, m) interleavings of
     (b_1 + 1, ..., b_m + 1) with c - m piles of one card.  None exists
     exactly when c < m, the Bulgarian rule for a Garden of Eden state.
     """
-    c = beta[0]
-    up = [b + 1 for b in beta[1:]]
-    for places in combinations(range(c), len(up)):
-        alpha = [1] * c
-        for i, b in zip(places, up):
-            alpha[i] = b
-        yield tuple(alpha)
+    if beta[0] < len(beta) - 1:
+        return ()
+
+    def interleavings(c, up):  # c and up as arguments: a closure would make cells on every call
+        for places in combinations(range(c), len(up)):
+            alpha = [1] * c
+            for i, b in zip(places, up):
+                alpha[i] = b
+            yield tuple(alpha)
+    return interleavings(beta[0], [b + 1 for b in beta[1:]])
 
 
-def _austrian_predecessors(state: AustrianState) -> Iterator[AustrianState]:
-    """Every Austrian state that one move sends to state, made lazily.
+def _austrian_predecessors(state: AustrianState) -> list[AustrianState]:
+    """Every Austrian state that one move sends to state, at most L.
 
     Its q piles of L cards were just bought, and its m piles below L each
     had one card more.  With s = qL + bank - m, a predecessor holds those
@@ -415,22 +415,13 @@ def _austrian_predecessors(state: AustrianState) -> Iterator[AustrianState]:
     L, piles = state.L, state.piles
     q = piles.count(L)
     s = q * (L + 1) + state.bank - len(piles)  # m = len(piles) - q
+    if s < 0:
+        return []
     up = tuple([p + 1 for p in piles[q:]])
-    for z in range(max(0, s - L + 1), s + 1):
-        yield AustrianState(up + (1,) * z, s - z, L)
+    return [AustrianState(up + (1,) * z, s - z, L) for z in range(max(0, s - L + 1), s + 1)]
 
 
-def _austrian_ge(state: AustrianState) -> bool:
-    # s < 0 in _austrian_predecessors
-    return state.piles.count(state.L) * (state.L + 1) + state.bank < len(state.piles)
-
-
-def _dual_ge(lam: Partition) -> bool:
-    # the conjugate of the Bulgarian rule: fewer parts than the largest part minus one
-    return len(lam) < lam[0] - 1
-
-
-def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
+def _walk_back(cycles, predecessors) -> tuple[int, int, int, tuple]:
     """Walk a graph backwards from its cycles, depth first: (the states
     reached, cycles included; the largest distance to a cycle among them;
     the Garden of Eden states among them; per cycle, its smallest Garden
@@ -438,10 +429,10 @@ def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
 
     Every state off a cycle has exactly one successor, so each is reached
     once, from the cycle state its orbit enters, with no visited set:
-    memory follows the walk's depth, not the number of states.  Each
-    stack entry iterates over one state's predecessors, which may be made
-    lazily: is_ge(x) is true exactly when x has none, so no iterator is
-    opened for a Garden of Eden state.
+    memory follows the walk's depth, not the number of states.  The rule
+    is asked once per state reached, and each stack entry iterates over
+    one state's predecessors, which may be made lazily: an empty (falsy)
+    answer marks a Garden of Eden state, so none is iterated.
     """
     count = max_tail = ge_count = 0
     smallest_ge = []
@@ -459,7 +450,8 @@ def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
                 it = stack.pop()
                 continue
             count += 1
-            if is_ge(x):
+            preds = predecessors(x)
+            if not preds:
                 ge_count += 1
                 if first is None or x < first:
                     first = x
@@ -469,7 +461,7 @@ def _walk_back(cycles, predecessors, is_ge) -> tuple[int, int, int, tuple]:
                     max_tail = len(stack) + 1
             else:
                 stack.append(it)
-                it = iter(predecessors(x))
+                it = iter(preds)
         smallest_ge.append(first)
     return count, max_tail, ge_count, tuple(smallest_ge)
 
@@ -645,29 +637,31 @@ def analyze_state_space(
     game = get_variant(variant, L=L)
     if game.cycles is None:
         raise ValueError(f"variant {variant!r} has no state enumeration")
-    cycles, step = game.cycles(n, L, limit), game.step
+    seeds, step = game.cycles(n, L, limit), game.step
     if game.predecessors is None:
-        leaders, count = cycles
+        leaders, count = seeds
         max_tail, ge_count, smallest_ge = 0, 0, (None,) * len(leaders)
         cycles = _Stream(lambda: ((x, *takewhile(x.__ne__, trajectory(step(x), step)))
                                   for x in leaders), len(leaders))
-        states, is_ge = lambda: sorted(chain.from_iterable(cycles)), None
+        states = lambda: sorted(chain.from_iterable(cycles))
     else:
-        count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors, game.is_ge)
+        cycles = _cycles_through(seeds, step)
+        count, max_tail, ge_count, smallest_ge = _walk_back(cycles, game.predecessors)
         total = game.total(n, L)
         if count != total:
             raise WalkError(
                 f"the walk back from the cycles counted {count} states, "
                 f"not the {total} {game.what.format(n=n, L=L)}"
             )
-        states, is_ge = partial(game.states, n, L), game.is_ge
+        states = partial(game.states, n, L)
     return GraphSummary(
         n=n,
         variant=variant,
         state_count=count,
         cycles=cycles,
         max_tail=max_tail,
-        ge_states=_Stream(lambda: filter(is_ge, states()), ge_count) if ge_count else (),
+        ge_states=_Stream(lambda: filterfalse(game.predecessors, states()), ge_count)
+        if ge_count else (),
         edges=_Stream(lambda: ((x, step(x)) for x in states()), count),
         smallest_ge=smallest_ge,
         ge_texts=_Stream(partial(game.ge_texts, n, L), ge_count)

@@ -82,35 +82,24 @@ def potential_energy(lam: Partition) -> int:
     return sum(map(mul, lam, count(1))) + (sum(map(mul, lam, lam)) + sum(lam)) // 2
 
 
-def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n exactly once, in ascending lexicographic
     order, from 1^n up to (n).
-
-    max_part restricts all parts to at most that value.
 
     The next larger partition raises the last part that may grow, the
     rightmost part that is not the last and is below its left neighbour,
     and turns everything after it into 1s.  Every slot past the current
     parts already holds a 1 and h marks the last part above 1, so only
     parts above 1 are ever reset.  The first part never shrinks, so the
-    partitions with parts <= max_part are a prefix of this order, which
-    ends at the first step that would raise the first part past the cap.
+    partitions with parts up to a cap are a prefix of this order.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else max_part
-    if cap < 1:
-        return
     x = [1] * n
     m, h = n, -1  # number of parts; index of the last part above 1
     yield tuple(x)
     while m > 1:
         if m - h > 2:  # two trailing 1s become one 2
-            if h < 0 and cap < 2:  # ... as the first part, past the cap
-                return
             h += 1
             x[h] = 2
             m -= 1
@@ -118,8 +107,6 @@ def enumerate_partitions(n: int, *, max_part: int | None = None) -> Iterator[Par
             i, v = m - 2, x[m - 2]
             while i and x[i - 1] == v:
                 i -= 1
-            if not i and v >= cap:  # the first part would pass the cap
-                return
             m = i + sum(x[i + 1 : m])
             x[i] = v + 1
             for j in range(i + 1, h + 1):
@@ -153,6 +140,8 @@ def enumerate_texts(n: int, keep: Callable[[int, int], bool], compositions: bool
     steps of enumerate_partitions, or enumerate_compositions, on a list x of
     its own, with pre[i], the text of x[0..i], rewritten where a step writes
     x, and a composition step also writes those of the 1s before x[i]."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     ones, sep = [",1" * i for i in range(n)], [f",{i}" for i in range(n + 1)]
     table = [[keep(first, m) for m in range(n + 1)] for first in range(n + 1)]
     x, pre, rule, m, h = [1] * n, [""] * n, table[1], n, -1
@@ -186,6 +175,8 @@ def carolina_edge_texts(n: int) -> Iterator[str]:
     enumerate_texts on compositions, with img[i] too, the text ",x[j]-1" of
     each x[j] > 1 with j <= i.  The move drops a's trailing 1s and puts its
     part count m first, so C(a) is m and img[h]; img[-1] stays empty."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     mid, sep = [",1" * i + '" -> "' for i in range(n)], [f",{i}" for i in range(n + 1)]
     x, pre, img, m, h = [1] * n, [""] * n, [""] * (n + 1), n, -1
     yield f'\n  "1{mid[n - 1]}{n}";'

@@ -52,12 +52,10 @@ from bsol.dynamics import (
     ToomReport,
     WalkError,
     _CHUNK,
-    _austrian_ge,
     _austrian_predecessors,
     _austrian_states,
     _carolina_predecessors,
     _cycle_json,
-    _dual_ge,
     _dual_predecessors,
     _knuth_check,
     _predecessors,
@@ -97,6 +95,7 @@ from bsol.operators import (
 )
 from bsol.partitions import (
     EnumerationBoundError,
+    carolina_edge_texts,
     conjugate,
     enumerate_compositions,
     enumerate_montreal_compositions,
@@ -527,7 +526,7 @@ STATES = {
     "carolina": lambda n, L: enumerate_compositions(n),
     "montreal": lambda n, L: enumerate_montreal_compositions(n),
     "austrian": lambda n, L: (AustrianState(piles, bank, L) for bank in range(min(L - 1, n) + 1)
-                              for piles in enumerate_partitions(n - bank, max_part=L)),
+                              for piles in sorted(bounded_partitions_oracle(n - bank, L))),
 }
 
 
@@ -784,11 +783,14 @@ def test_enumerate_partitions_matches_oracle():
         assert list(enumerate_partitions(n)) == sorted(enumerate_partitions_oracle(n))
 
 
-def test_bounded_enumeration_matches_recursive_oracle():
-    for n in range(31):
-        for cap in range(-1, n + 2):
-            assert (list(enumerate_partitions(n, max_part=cap))
-                    == sorted(bounded_partitions_oracle(n, cap)))
+def test_austrian_states_match_the_bounded_oracle():
+    # each bank's piles are the ascending prefix of the partitions whose
+    # first part is at most L, cut where the first part passes L
+    for L in range(1, 9):
+        for n in range(26):
+            assert list(_austrian_states(n, L)) == [
+                AustrianState(piles, bank, L) for bank in range(min(L - 1, n) + 1)
+                for piles in sorted(bounded_partitions_oracle(n - bank, L))], (n, L)
 
 
 def test_knuth_check_matches_stepping_oracle():
@@ -1146,7 +1148,6 @@ def test_dual_predecessor_rule_is_the_conjugated_bulgarian_rule():
             assert len(set(preds)) == len(preds), mu
             assert sorted(preds) == sorted(map(conjugate, _predecessors(conjugate(mu)))), mu
             assert all(dual_step(lam) == mu for lam in preds), mu
-            assert _dual_ge(mu) == (not preds), mu
 
 
 def test_dual_walk_matches_the_conjugated_bulgarian_summary():
@@ -1186,9 +1187,29 @@ def test_austrian_predecessors_match_brute_force_preimages():
                 preimages.setdefault(austrian_step(x), []).append(x)
             for y in states:
                 preds = list(_austrian_predecessors(y))
-                assert len(set(preds)) == len(preds), y
+                assert len(set(preds)) == len(preds) <= L, y
                 assert sorted(preds) == sorted(preimages.get(y, [])), y
-                assert _austrian_ge(y) == (not preds), y
+
+
+def test_an_empty_predecessor_answer_marks_exactly_the_garden_of_eden_states():
+    # the walk and ge_states read the rule's answer, as returned, as "no
+    # predecessor" when it is falsy, so a lazy stream must be falsy when
+    # empty.  The empty partition, a fixed point, gets [], but it lies on
+    # its cycle, where the walk never reads the answer as a GE test
+    sizes = {"bulgarian": [(n, None) for n in range(1, 21)],
+             "dual": [(n, None) for n in range(1, 21)],
+             "carolina": [(n, None) for n in range(1, 13)],
+             "austrian": [(n, L) for L in range(1, 7) for n in range(21)]}
+    names = ("bulgarian", "dual", "carolina", "montreal", "austrian",
+             "servedio_yeh", "janetzko", "multiplayer")
+    assert {name for name in names if get_variant(name, L=1).predecessors} == set(sizes)
+    for name, cases in sizes.items():
+        for n, L in cases:
+            game = get_variant(name, L=L)
+            states = list(STATES[name](n, L))
+            images = set(map(game.step, states))
+            for x in states:
+                assert bool(game.predecessors(x)) == (x in images), (name, x)
 
 
 def test_carolina_predecessors_match_brute_force_preimages():
@@ -1209,6 +1230,15 @@ def test_ascending_compositions_are_the_sorted_compositions():
             tuple(b - a for a, b in zip((0,) + c, c + (n,))) for c in cut))
     with pytest.raises(ValueError, match="positive"):
         next(enumerate_compositions(0))
+
+
+def test_text_walkers_refuse_a_count_below_one():
+    for n in (0, -1):
+        for walker in (lambda: enumerate_texts(n, lambda first, m: True, False),
+                       lambda: enumerate_texts(n, lambda first, m: True, True),
+                       lambda: carolina_edge_texts(n)):
+            with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+                next(walker())
 
 
 def test_knuth_walk_matches_the_forward_explorer_at_every_exponent():

@@ -152,14 +152,6 @@ def test_enumerators_are_lazy_and_unbounded():
     assert next(enumerate_compositions(10**6)) == (1,) * 10**6
 
 
-def test_enumerate_partitions_max_part():
-    got = list(enumerate_partitions(5, max_part=2))
-    assert got == [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1)]
-    for n in range(12):
-        everything = list(enumerate_partitions(n, max_part=n if n else 1))
-        assert everything == list(enumerate_partitions(n))
-
-
 def test_enumerate_compositions_small():
     assert list(enumerate_compositions(1)) == [(1,)]
     assert list(enumerate_compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
