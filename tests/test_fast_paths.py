@@ -783,7 +783,7 @@ def test_enumerate_partitions_matches_oracle():
         assert list(enumerate_partitions(n)) == sorted(enumerate_partitions_oracle(n))
 
 
-def test_austrian_states_match_the_bounded_oracle():
+def test_bounded_enumeration_matches_recursive_oracle():
     # each bank's piles are the ascending prefix of the partitions whose
     # first part is at most L, cut where the first part passes L
     for L in range(1, 9):

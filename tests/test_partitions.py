@@ -1,3 +1,5 @@
+from itertools import takewhile
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -150,6 +152,19 @@ def test_enumerators_are_lazy_and_unbounded():
     # the library sets no size bound; the first state of a huge space comes at once
     assert next(enumerate_partitions(10**6)) == (1,) * 10**6
     assert next(enumerate_compositions(10**6)) == (1,) * 10**6
+
+
+def test_enumerate_partitions_max_part():
+    # ascending, the first part never shrinks: the partitions whose parts
+    # are at most a cap are a prefix, cut at the first one past the cap
+    capped = lambda n, cap: list(takewhile(lambda lam: not lam or lam[0] <= cap,
+                                           enumerate_partitions(n)))
+    assert capped(5, 2) == [(1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1)]
+    for n in range(16):
+        everything = list(enumerate_partitions(n))
+        assert capped(n, n if n else 1) == everything
+        for cap in range(1, n + 1):
+            assert capped(n, cap) == [lam for lam in everything if lam[0] <= cap]
 
 
 def test_enumerate_compositions_small():
